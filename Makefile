@@ -91,13 +91,17 @@ shardsmoke:
 	$(GO) run ./cmd/migsim -exp shardstress > /dev/null
 	@echo "shardsmoke: sharded kernel byte-identical to sequential"
 
-# Stop-and-wait identity gate: with the pipelined transport merged, the
-# default configuration (W=1, K=1) must still produce byte-identical
-# experiment output to the committed golden.
+# Identity gate: the default configuration (W=1, K=1) must still
+# produce byte-identical experiment output to the committed golden, and
+# the windowed-transport and content-store sweeps (-exp pipeline then
+# -exp dedup) must match theirs.
 identity:
 	$(GO) run ./cmd/migsim -exp all > /tmp/identity.out
 	cmp /tmp/identity.out testdata/exp_all.golden
-	@echo "identity: default-path output matches testdata/exp_all.golden"
+	$(GO) run ./cmd/migsim -exp pipeline > /tmp/identity.transport
+	$(GO) run ./cmd/migsim -exp dedup >> /tmp/identity.transport
+	cmp /tmp/identity.transport testdata/exp_transport.golden
+	@echo "identity: output matches testdata/exp_all.golden and testdata/exp_transport.golden"
 
 # Regenerate the measured side of EXPERIMENTS.md.
 report:

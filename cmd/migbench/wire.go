@@ -89,8 +89,8 @@ func runDedupWireOnce(mode vm.DedupConfig) (DedupWireRow, error) {
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 	link.SetRecorder(rec)
-	srcM := core.NewManager(src, core.DefaultTuning())
-	dstM := core.NewManager(dst, core.DefaultTuning())
+	srcM := core.NewManager(src)
+	dstM := core.NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 
@@ -161,8 +161,8 @@ func runResumeWireOnce(resume bool, maxRetries int) (ResumeWireRow, error) {
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 	link.SetRecorder(rec)
-	srcM := core.NewManager(src, core.DefaultTuning())
-	dstM := core.NewManager(dst, core.DefaultTuning())
+	srcM := core.NewManager(src)
+	dstM := core.NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 
@@ -221,8 +221,8 @@ func runWireOnce(window int) (WireRow, error) {
 	src := machine.New(k, "src", mcfg)
 	dst := machine.New(k, "dst", mcfg)
 	link := machine.Connect(src, dst, netlink.Config{})
-	srcM := core.NewManager(src, core.DefaultTuning())
-	dstM := core.NewManager(dst, core.DefaultTuning())
+	srcM := core.NewManager(src)
+	dstM := core.NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 

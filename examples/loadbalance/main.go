@@ -64,7 +64,7 @@ func run(balance bool) (time.Duration, uint64) {
 	for i := 0; i < 3; i++ {
 		m := machine.New(k, fmt.Sprintf("host%d", i), machine.Config{})
 		ms = append(ms, m)
-		mgrs = append(mgrs, core.NewManager(m, core.DefaultTuning()))
+		mgrs = append(mgrs, core.NewManager(m))
 	}
 	for i := 0; i < 3; i++ {
 		for j := i + 1; j < 3; j++ {

@@ -39,8 +39,8 @@ func run() error {
 	link.SetRecorder(rec)
 
 	// Migration managers on both hosts; each can name the other's port.
-	srcMgr := core.NewManager(src, core.DefaultTuning())
-	dstMgr := core.NewManager(dst, core.DefaultTuning())
+	srcMgr := core.NewManager(src)
+	dstMgr := core.NewManager(dst)
 	src.Net.AddRoute(dstMgr.Port.ID, "perq-b")
 	dst.Net.AddRoute(srcMgr.Port.ID, "perq-a")
 

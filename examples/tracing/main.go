@@ -59,8 +59,8 @@ func run() error {
 	src.SetRecorder(rec)
 	dst.SetRecorder(rec)
 
-	srcMgr := core.NewManager(src, core.DefaultTuning())
-	dstMgr := core.NewManager(dst, core.DefaultTuning())
+	srcMgr := core.NewManager(src)
+	dstMgr := core.NewManager(dst)
 	src.Net.AddRoute(dstMgr.Port.ID, "perq-b")
 	dst.Net.AddRoute(srcMgr.Port.ID, "perq-a")
 

@@ -26,8 +26,8 @@ func newTestbed(t *testing.T) *testbed {
 	src := machine.New(k, "src", machine.Config{})
 	dst := machine.New(k, "dst", machine.Config{})
 	link := machine.Connect(src, dst, netlink.Config{})
-	srcM := NewManager(src, DefaultTuning())
-	dstM := NewManager(dst, DefaultTuning())
+	srcM := NewManager(src)
+	dstM := NewManager(dst)
 	// Bootstrap: each side can name the other's manager port.
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")

@@ -27,68 +27,21 @@ import (
 // occupies the link for minutes, and demand read replies for the
 // process's concurrent faults would queue behind it past the pager's
 // retry budget.
+//
+// With the pager's Outstanding k > 1, each segment drains with up to k
+// chunked flush calls in flight: k-1 helper procs plus the caller. The
+// backer's Flush is stateful — it marks pages delivered as it serves
+// them — so concurrent chunk requests naturally receive disjoint page
+// runs, and their replies interleave on the wire with the process's
+// demand faults instead of queuing strictly behind one another. Page
+// installation skips pages already present, so a demand fault racing
+// a flush chunk stays idempotent. At k = 1 the caller drains alone.
 func DissolveIOUs(p *sim.Proc, m *machine.Machine, pr *machine.Process) (int, error) {
-	if k := m.Pager.Outstanding(); k > 1 {
-		return dissolveWindowed(p, m, pr, k)
-	}
-	fetched := 0
-	seen := map[uint64]bool{}
-	for _, r := range pr.AS.Regions() {
-		seg := r.Seg
-		if seg.Class != vm.ImagSeg || seen[seg.ID] {
-			continue
-		}
-		seen[seg.ID] = true
-		for {
-			rep, err := m.IPC.Call(p, &ipc.Message{
-				Op:           imag.OpFlush,
-				To:           ipc.PortID(seg.BackingPort),
-				Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
-				BodyBytes:    imag.FlushRequestBytes,
-				FaultSupport: true,
-			})
-			if err != nil {
-				return fetched, fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
-			}
-			body, ok := rep.Body.(*imag.ReadReply)
-			if !ok {
-				return fetched, fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
-			}
-			ps := seg.PageSize()
-			for _, run := range body.Runs {
-				for j := 0; j < run.Count; j++ {
-					idx := run.Index + uint64(j)
-					// Skip pages already fetched by earlier faults.
-					if seg.Page(idx) != nil {
-						continue
-					}
-					vp := seg.Materialize(idx, run.Page(j, ps))
-					vp.MarkWritten() // no local disk copy yet
-					m.Pager.Install(seg, idx)
-					fetched++
-				}
-			}
-			if body.PageCount() < FlushChunkPages {
-				break
-			}
-		}
-	}
-	return fetched, nil
-}
-
-// dissolveWindowed drains each imaginary segment with up to k chunked
-// flush calls in flight (the pager's Outstanding knob applied to
-// dissolution). The backer's Flush is stateful — it marks pages
-// delivered as it serves them — so concurrent chunk requests naturally
-// receive disjoint page runs, and their replies interleave on the wire
-// with the process's demand faults instead of queuing strictly behind
-// one another. Page installation keeps the seg.Page(idx) != nil skip
-// guard, so a demand fault racing a flush chunk stays idempotent.
-func dissolveWindowed(p *sim.Proc, m *machine.Machine, pr *machine.Process, k int) (int, error) {
 	type flushResult struct {
 		fetched int
 		err     error
 	}
+	k := m.Pager.Outstanding()
 	fetched := 0
 	seen := map[uint64]bool{}
 	for _, r := range pr.AS.Regions() {
@@ -97,50 +50,54 @@ func dissolveWindowed(p *sim.Proc, m *machine.Machine, pr *machine.Process, k in
 			continue
 		}
 		seen[seg.ID] = true
-		done := sim.NewQueue[flushResult](m.K)
-		for w := 0; w < k; w++ {
-			m.K.Go(fmt.Sprintf("%s.dissolve%d", m.Name, w), func(wp *sim.Proc) {
-				var res flushResult
-				for {
-					rep, err := m.IPC.Call(wp, &ipc.Message{
-						Op:           imag.OpFlush,
-						To:           ipc.PortID(seg.BackingPort),
-						Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
-						BodyBytes:    imag.FlushRequestBytes,
-						FaultSupport: true,
-					})
-					if err != nil {
-						res.err = fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
-						break
-					}
-					body, ok := rep.Body.(*imag.ReadReply)
-					if !ok {
-						res.err = fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
-						break
-					}
-					ps := seg.PageSize()
-					for j := range body.Runs {
-						run := body.Runs[j]
-						for i := 0; i < run.Count; i++ {
-							idx := run.Index + uint64(i)
-							if seg.Page(idx) != nil {
-								continue
-							}
-							vp := seg.Materialize(idx, run.Page(i, ps))
-							vp.MarkWritten() // no local disk copy yet
-							m.Pager.Install(seg, idx)
-							res.fetched++
+		// drain flushes chunks of seg until the backer runs dry.
+		drain := func(dp *sim.Proc) (res flushResult) {
+			for {
+				rep, err := m.IPC.Call(dp, &ipc.Message{
+					Op:           imag.OpFlush,
+					To:           ipc.PortID(seg.BackingPort),
+					Body:         &imag.FlushRequest{SegID: seg.ID, MaxPages: FlushChunkPages},
+					BodyBytes:    imag.FlushRequestBytes,
+					FaultSupport: true,
+				})
+				if err != nil {
+					res.err = fmt.Errorf("core: dissolve segment %d: %w", seg.ID, err)
+					return res
+				}
+				body, ok := rep.Body.(*imag.ReadReply)
+				if !ok {
+					res.err = fmt.Errorf("core: dissolve segment %d: bad reply %T", seg.ID, rep.Body)
+					return res
+				}
+				ps := seg.PageSize()
+				for _, run := range body.Runs {
+					for j := 0; j < run.Count; j++ {
+						idx := run.Index + uint64(j)
+						// Skip pages already fetched by earlier faults.
+						if seg.Page(idx) != nil {
+							continue
 						}
-					}
-					if body.PageCount() < FlushChunkPages {
-						break
+						vp := seg.Materialize(idx, run.Page(j, ps))
+						vp.MarkWritten() // no local disk copy yet
+						m.Pager.Install(seg, idx)
+						res.fetched++
 					}
 				}
-				done.Push(res)
+				if body.PageCount() < FlushChunkPages {
+					return res
+				}
+			}
+		}
+		done := sim.NewQueue[flushResult](m.K)
+		for w := 0; w < k-1; w++ {
+			m.K.Go(fmt.Sprintf("%s.dissolve%d", m.Name, w), func(wp *sim.Proc) {
+				done.Push(drain(wp))
 			})
 		}
-		var firstErr error
-		for w := 0; w < k; w++ {
+		res := drain(p)
+		fetched += res.fetched
+		firstErr := res.err
+		for w := 0; w < k-1; w++ {
 			res := done.Pop(p)
 			fetched += res.fetched
 			if firstErr == nil {

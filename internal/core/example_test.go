@@ -18,8 +18,8 @@ func Example() {
 	src := machine.New(k, "src", machine.Config{})
 	dst := machine.New(k, "dst", machine.Config{})
 	machine.Connect(src, dst, netlink.Config{})
-	srcMgr := core.NewManager(src, core.DefaultTuning())
-	dstMgr := core.NewManager(dst, core.DefaultTuning())
+	srcMgr := core.NewManager(src)
+	dstMgr := core.NewManager(dst)
 	src.Net.AddRoute(dstMgr.Port.ID, "dst")
 	dst.Net.AddRoute(srcMgr.Port.ID, "src")
 

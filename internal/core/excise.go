@@ -122,12 +122,29 @@ type Context struct {
 	Attachments   int
 }
 
+// Excision cost model, calibrated against the paper's Table 4-4. AMap
+// construction grows with process-map complexity (accessibility runs)
+// and examined pages, never with raw address-space bytes — the
+// property that keeps excision within a factor of ~4 while address
+// spaces vary by four orders of magnitude.
+const (
+	// AMap construction (ExciseProcess step 1).
+	amapBase        = 120 * time.Millisecond
+	amapPerEntry    = 2000 * time.Microsecond // per accessibility run produced
+	amapPerRealPage = 250 * time.Microsecond  // per materialized page examined
+
+	// Address-space collapse into the RIMAS message (step 2).
+	collapseBase            = 150 * time.Millisecond
+	collapsePerResidentPage = 1300 * time.Microsecond // unmapping resident frames
+	collapsePerRealPage     = 50 * time.Microsecond   // remapping disk pages in bulk
+)
+
 // ExciseProcess removes the complete context of pr from machine m
 // (§3.1). After it returns, the process has ceased to exist at the
 // source: its frames are freed, its ports withdrawn (their rights
 // travel in the Core message), and its name removed from the process
 // table. The strategy shapes the RIMAS message's copy flags.
-func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat Strategy, prefetch int, tun Tuning) (*Context, error) {
+func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat Strategy, prefetch int) (*Context, error) {
 	if pr.Host != m {
 		return nil, fmt.Errorf("core: excise %q: not resident on %s", pr.Name, m.Name)
 	}
@@ -135,9 +152,9 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 
 	// Phase 1: AMap construction. Cost grows with map complexity.
 	amap := vm.BuildAMap(pr.AS)
-	m.CPU.UseHigh(p, tun.AMapBase+
-		time.Duration(amap.Stats.Runs)*tun.AMapPerEntry+
-		time.Duration(amap.Stats.MaterializedPages)*tun.AMapPerRealPage)
+	m.CPU.UseHigh(p, amapBase+
+		time.Duration(amap.Stats.Runs)*amapPerEntry+
+		time.Duration(amap.Stats.MaterializedPages)*amapPerRealPage)
 	amapDone := p.Now()
 
 	// Phase 2: collapse RealMem into one contiguous area (§3.1). Under
@@ -177,9 +194,9 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 		attachments = append(attachments, lazy)
 	}
 	attachments = append(attachments, imagAtts...)
-	m.CPU.UseHigh(p, tun.CollapseBase+
-		time.Duration(resident)*tun.CollapsePerResidentPage+
-		time.Duration(real)*tun.CollapsePerRealPage)
+	m.CPU.UseHigh(p, collapseBase+
+		time.Duration(resident)*collapsePerResidentPage+
+		time.Duration(real)*collapsePerRealPage)
 	collapseDone := p.Now()
 
 	// The process ceases to exist here.

@@ -31,27 +31,35 @@ type InsertTimings struct {
 	RepairedPages int
 }
 
+// Insertion cost model (address-space reconstruction), calibrated
+// against the paper's §4.3.1.
+const (
+	insertBase           = 150 * time.Millisecond
+	insertPerRun         = 500 * time.Microsecond // per region/attachment mapped
+	insertPerArrivedPage = 150 * time.Microsecond // per physically arrived page
+)
+
 // InsertProcess recreates a process on machine m from its two context
 // messages (§3.1). The messages are self-contained: the AMap guides
 // address-space reconstruction, RIMAS data attachments provide page
 // content, and IOU attachments become stand-in imaginary segments whose
 // faults flow back to the backer. The reconstituted process is returned
 // ready for machine.Start.
-func InsertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, tun Tuning) (*machine.Process, InsertTimings, error) {
-	return insertProcess(p, m, coreMsg, rimasMsg, nil, nil, tun)
+func InsertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message) (*machine.Process, InsertTimings, error) {
+	return insertProcess(p, m, coreMsg, rimasMsg, nil, nil)
 }
 
 // InsertProcessStaged is InsertProcess with a pre-copy stage: page
 // contents for PreCopied handoffs, keyed by VA, gathered by earlier
 // OpPreCopy rounds.
-func InsertProcessStaged(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte, tun Tuning) (*machine.Process, InsertTimings, error) {
-	return insertProcess(p, m, coreMsg, rimasMsg, staged, nil, tun)
+func InsertProcessStaged(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte) (*machine.Process, InsertTimings, error) {
+	return insertProcess(p, m, coreMsg, rimasMsg, staged, nil)
 }
 
 // insertProcess is the full insertion path: InsertProcessStaged plus
 // the manifest recipe, which rebuilds pages the source elided and
 // seeds fault-time hash hints for pages riding IOUs.
-func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte, rcp *dedupRecipe, tun Tuning) (*machine.Process, InsertTimings, error) {
+func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Message, staged map[vm.Addr][]byte, rcp *dedupRecipe) (*machine.Process, InsertTimings, error) {
 	start := p.Now()
 	var t InsertTimings
 	cb, ok := coreMsg.Body.(*CoreBody)
@@ -273,19 +281,19 @@ func insertProcess(p *sim.Proc, m *machine.Machine, coreMsg, rimasMsg *ipc.Messa
 		pr.Ports = append(pr.Ports, port)
 	}
 
-	// Rights/PCB processing (CoreRightsCPU) is charged by the manager
+	// Rights/PCB processing (coreRightsCPU) is charged by the manager
 	// when the Core message arrives — it belongs to the transfer phase,
 	// which is why Core transmission takes ≈1 s in all cases (§4.3.2).
 	// Elided pages cost the same per-page install work as arrived ones
 	// (the copy is local instead of from the wire); compressed arrivals
 	// additionally pay the modeled decompression, and checksummed ones
 	// the verification re-hash.
-	m.CPU.UseHigh(p, tun.InsertBase+
-		time.Duration(len(cb.Rights))*tun.PerPortRight+
-		time.Duration(len(cb.AMap.Entries)+len(rimasMsg.Mem))*tun.InsertPerRun+
-		time.Duration(t.ArrivedPages+t.ElidedPages)*tun.InsertPerArrivedPage+
-		time.Duration(compPages)*m.DedupConfig().DecompressPerPageCPU+
-		time.Duration(verified)*m.DedupConfig().HashPerPageCPU)
+	m.CPU.UseHigh(p, insertBase+
+		time.Duration(len(cb.Rights))*perPortRight+
+		time.Duration(len(cb.AMap.Entries)+len(rimasMsg.Mem))*insertPerRun+
+		time.Duration(t.ArrivedPages+t.ElidedPages)*insertPerArrivedPage+
+		time.Duration(compPages)*vm.DecompressPerPageCPU+
+		time.Duration(verified)*vm.HashPerPageCPU)
 
 	if err := m.Adopt(pr); err != nil {
 		return nil, t, err

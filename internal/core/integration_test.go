@@ -100,8 +100,8 @@ func TestMigrationOverLossyLink(t *testing.T) {
 	src := machine.New(k, "src", cfg)
 	dst := machine.New(k, "dst", cfg)
 	link := machine.Connect(src, dst, netlink.Config{DropProb: 0.10, DropSeed: 99})
-	srcM := NewManager(src, DefaultTuning())
-	dstM := NewManager(dst, DefaultTuning())
+	srcM := NewManager(src)
+	dstM := NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 
@@ -263,8 +263,8 @@ func TestBackerCrashSurfacesError(t *testing.T) {
 	src := machine.New(k, "src", cfg)
 	dst := machine.New(k, "dst", cfg)
 	machine.Connect(src, dst, netlink.Config{})
-	srcM := NewManager(src, DefaultTuning())
-	dstM := NewManager(dst, DefaultTuning())
+	srcM := NewManager(src)
+	dstM := NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 

@@ -22,9 +22,9 @@ import (
 // stampIntegrity checksums the outgoing RIMAS payload in place of the
 // message (attachment structs are copied first, so the rollback
 // snapshot — which shares them — stays pristine). The hashing sweep
-// costs one HashPerPageCPU per page; indexing the shipped bytes is
+// costs one vm.HashPerPageCPU per page; indexing the shipped bytes is
 // what lets the destination's repair read find them here later.
-func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) {
+func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context) {
 	ps := mgr.M.PageSize()
 	mem := make([]*ipc.MemAttachment, len(ctx.RIMAS.Mem))
 	copy(mem, ctx.RIMAS.Mem)
@@ -51,5 +51,5 @@ func (mgr *Manager) stampIntegrity(p *sim.Proc, ctx *Context, d vm.DedupConfig) 
 		return
 	}
 	ctx.RIMAS.Mem = mem
-	mgr.M.CPU.UseHigh(p, time.Duration(pages)*d.HashPerPageCPU)
+	mgr.M.CPU.UseHigh(p, time.Duration(pages)*vm.HashPerPageCPU)
 }

@@ -86,13 +86,19 @@ var ErrPhaseTimeout = errors.New("core: migration phase timed out")
 // unreachable mid-migration.
 var ErrPeerDead = errors.New("core: migration peer unreachable")
 
+// Core context message processing (microstate, PCB, rights), calibrated
+// against the paper's §4.3.2 (≈1 s Core message).
+const (
+	coreRightsCPU = 400 * time.Millisecond // fixed, charged on each side
+	perPortRight  = 10 * time.Millisecond  // per transferred right, each side
+)
+
 // Manager is the per-machine MigrationManager process (§3.2): it
 // accepts context messages on its port and reconstructs processes. The
 // source side of a migration runs synchronously in the caller via
 // MigrateTo, mirroring the simple command-driven server of the paper.
 type Manager struct {
 	M    *machine.Machine
-	Tun  Tuning
 	Port *ipc.Port
 
 	// PhaseHook, when set, is called in the migrating proc's context as
@@ -118,10 +124,9 @@ type pending struct {
 }
 
 // NewManager creates the manager and starts its service process.
-func NewManager(m *machine.Machine, tun Tuning) *Manager {
+func NewManager(m *machine.Machine) *Manager {
 	mgr := &Manager{
 		M:           m,
-		Tun:         tun,
 		Port:        m.IPC.AllocPort(m.Name + ".migmgr"),
 		pendingCore: make(map[string]*pending),
 		staged:      make(map[string]map[vm.Addr][]byte),
@@ -174,8 +179,8 @@ func (mgr *Manager) serve(p *sim.Proc) {
 			}
 			// Rights and PCB processing: the bulk of the ≈1 s Core
 			// transfer cost.
-			mgr.M.CPU.UseHigh(p, mgr.Tun.CoreRightsCPU+
-				time.Duration(len(cb.Rights))*mgr.Tun.PerPortRight)
+			mgr.M.CPU.UseHigh(p, coreRightsCPU+
+				time.Duration(len(cb.Rights))*perPortRight)
 			mgr.pendingCore[cb.ProcName] = &pending{core: m, coreArrived: p.Now()}
 			mgr.state(cb.ProcName, "CoreArrived")
 			if m.ReplyTo != 0 {
@@ -218,8 +223,8 @@ func (mgr *Manager) handleManifest(p *sim.Proc, mb *ManifestBody, m *ipc.Message
 	}
 	// Classification work: each page costs one hash lookup (the index
 	// and the delivery ledger both verify hits by re-hashing).
-	if d := mgr.M.DedupConfig(); d.ManifestActive() && total > 0 {
-		mgr.M.CPU.UseHigh(p, time.Duration(total)*d.HashPerPageCPU)
+	if mgr.M.DedupConfig().ManifestActive() && total > 0 {
+		mgr.M.CPU.UseHigh(p, time.Duration(total)*vm.HashPerPageCPU)
 	}
 	rcp, ack := classifyManifest(mb, mgr.M.Index, mgr.M.Ledger, mgr.M.PageSize())
 	// A manifest of an older, abandoned attempt must not clobber the
@@ -257,7 +262,7 @@ func (mgr *Manager) handleRIMAS(p *sim.Proc, rb *RIMASBody, m *ipc.Message) {
 			stage = mgr.staged[rb.ProcName]
 			delete(mgr.staged, rb.ProcName)
 		}
-		pr, it, err := insertProcess(p, mgr.M, pend.core, m, stage, rcp, mgr.Tun)
+		pr, it, err := insertProcess(p, mgr.M, pend.core, m, stage, rcp)
 		if err != nil {
 			ack.Err = err.Error()
 		} else {
@@ -304,7 +309,7 @@ func (mgr *Manager) handlePreCopy(p *sim.Proc, pb *PreCopyBody, m *ipc.Message) 
 		}
 	}
 	// Staging cost: absorbing arrived pages.
-	mgr.M.CPU.UseHigh(p, time.Duration(pages)*mgr.Tun.InsertPerArrivedPage)
+	mgr.M.CPU.UseHigh(p, time.Duration(pages)*insertPerArrivedPage)
 	if m.ReplyTo != 0 {
 		_ = mgr.M.IPC.Send(p, &ipc.Message{
 			Op:        OpPreCopyAck,
@@ -407,7 +412,7 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 	}
 
 	mgr.hook(p, "excise")
-	ctx, err := ExciseProcess(p, mgr.M, pr, strat, opts.Prefetch, mgr.Tun)
+	ctx, err := ExciseProcess(p, mgr.M, pr, strat, opts.Prefetch)
 	if err != nil {
 		return nil, err
 	}
@@ -430,8 +435,8 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 	coreSendStart := p.Now()
 	cb := ctx.Core.Body.(*CoreBody)
 	cb.Attempt = attempt
-	mgr.M.CPU.UseHigh(p, mgr.Tun.CoreRightsCPU+
-		time.Duration(len(cb.Rights))*mgr.Tun.PerPortRight)
+	mgr.M.CPU.UseHigh(p, coreRightsCPU+
+		time.Duration(len(cb.Rights))*perPortRight)
 	ctx.Core.To = destPort
 	ctx.Core.ReplyTo = reply.ID
 	if err := mgr.M.IPC.Send(p, ctx.Core); err != nil {
@@ -462,8 +467,8 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 			return nil, fail(err)
 		}
 	}
-	if d := mgr.M.DedupConfig(); d.Integrity {
-		mgr.stampIntegrity(p, ctx, d)
+	if mgr.M.DedupConfig().Integrity {
+		mgr.stampIntegrity(p, ctx)
 	}
 	ctx.RIMAS.To = destPort
 	ctx.RIMAS.ReplyTo = reply.ID
@@ -584,7 +589,7 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 		return nil
 	}
 	// Hashing sweeps the collapsed pages once, at manifest build.
-	mgr.M.CPU.UseHigh(p, time.Duration(pages)*d.HashPerPageCPU)
+	mgr.M.CPU.UseHigh(p, time.Duration(pages)*vm.HashPerPageCPU)
 	if err := mgr.M.IPC.Send(p, &ipc.Message{
 		Op:        OpManifest,
 		To:        destPort,
@@ -622,7 +627,7 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 				mem[i] = &cp
 			}
 			np := compressAttachment(mem[i], ps)
-			mgr.M.CPU.UseHigh(p, time.Duration(np)*d.CompressPerPageCPU)
+			mgr.M.CPU.UseHigh(p, time.Duration(np)*vm.CompressPerPageCPU)
 		}
 	}
 	ctx.RIMAS.Mem = mem
@@ -682,7 +687,7 @@ func (mgr *Manager) rollback(p *sim.Proc, pr *machine.Process, ctx *Context, mem
 		return fmt.Errorf("core: cannot roll back %q: pre-copied pages live only at the destination", pr.Name)
 	}
 	ctx.RIMAS.Mem = memSnap
-	newPr, _, err := InsertProcess(p, mgr.M, ctx.Core, ctx.RIMAS, mgr.Tun)
+	newPr, _, err := InsertProcess(p, mgr.M, ctx.Core, ctx.RIMAS)
 	if err != nil {
 		return fmt.Errorf("core: rollback of %q: %w", pr.Name, err)
 	}

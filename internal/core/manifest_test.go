@@ -20,8 +20,8 @@ func newDedupTestbed(t *testing.T, compress bool) *testbed {
 	src := machine.New(k, "src", cfg)
 	dst := machine.New(k, "dst", cfg)
 	link := machine.Connect(src, dst, netlink.Config{})
-	srcM := NewManager(src, DefaultTuning())
-	dstM := NewManager(dst, DefaultTuning())
+	srcM := NewManager(src)
+	dstM := NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 	return &testbed{k: k, src: src, dst: dst, srcM: srcM, dstM: dstM, link: link}

@@ -21,7 +21,7 @@ func cluster(t *testing.T, n int) (*sim.Kernel, []*machine.Machine, []*Manager) 
 	for i := 0; i < n; i++ {
 		m := machine.New(k, fmt.Sprintf("m%d", i), machine.Config{})
 		ms = append(ms, m)
-		mgrs = append(mgrs, NewManager(m, DefaultTuning()))
+		mgrs = append(mgrs, NewManager(m))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {

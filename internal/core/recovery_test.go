@@ -22,8 +22,8 @@ func newFaultTestbed(t *testing.T, linkCfg netlink.Config, mcfg machine.Config) 
 	src := machine.New(k, "src", mcfg)
 	dst := machine.New(k, "dst", mcfg)
 	link := machine.Connect(src, dst, linkCfg)
-	srcM := NewManager(src, DefaultTuning())
-	dstM := NewManager(dst, DefaultTuning())
+	srcM := NewManager(src)
+	dstM := NewManager(dst)
 	src.Net.AddRoute(dstM.Port.ID, "dst")
 	dst.Net.AddRoute(srcM.Port.ID, "src")
 	return &testbed{k: k, src: src, dst: dst, srcM: srcM, dstM: dstM, link: link}

@@ -366,7 +366,7 @@ func (e *Engine) Chaos(cfg Config, trials int, seed uint64) (*ChaosReport, error
 			return
 		}
 		r.profiled = true
-		pf, perr := prof.Build(sink.Events(), prof.Options{})
+		pf, perr := prof.Build(sink.Events())
 		if perr != nil {
 			r.invariant, r.detail = "profile-error", perr.Error()
 			return

@@ -134,9 +134,10 @@ func (e *Engine) CachedCells() int {
 }
 
 // fingerprint hashes everything about a Config that can influence a
-// trial's outcome: the machine and link cost models, the tuning
-// constants, and the process-wide base seed perturbing the workload
-// reference traces. The Sink is deliberately excluded — it observes a
+// trial's outcome: the machine and link configs and the process-wide
+// base seed perturbing the workload reference traces. The calibrated
+// cost constants are compiled in and invisible here; memoEpoch covers
+// them. The Sink is deliberately excluded — it observes a
 // trial without affecting it — and sink-carrying configs skip the cache
 // anyway. The fingerprint also keys the persistent disk cache, so it
 // must be stable across processes: every nested config struct is a
@@ -147,7 +148,7 @@ func (e *Engine) CachedCells() int {
 // hence the fingerprint) can never revive a stale entry.
 func (c Config) fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%#v|%#v|%#v|%d", c.Machine, c.Link, c.tuning(), xrand.BaseSeed())
+	fmt.Fprintf(h, "%#v|%#v|%d", c.Machine, c.Link, xrand.BaseSeed())
 	if c.Faults != nil {
 		fmt.Fprintf(h, "|%#v", *c.Faults)
 	}

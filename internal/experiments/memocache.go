@@ -20,8 +20,11 @@ import (
 // ResilienceOutcome and everything they embed) or the simulation's
 // observable semantics change in a way the config fingerprint cannot
 // see; old entries become unreachable (they live in a differently named
-// subdirectory) and are eventually pruned.
-const memoEpoch = 1
+// subdirectory) and are eventually pruned. The cost model's calibrated
+// constants in core, netmsg, pager, ipc and vm are compiled in rather
+// than carried in Config, so the fingerprint cannot see them either:
+// changing any of them also requires a bump.
+const memoEpoch = 2
 
 // memoMagic heads every cache entry so a torn or foreign file is
 // rejected before any decoding happens.
@@ -121,7 +124,7 @@ func (d *DiskCache) Stats() DiskStats {
 }
 
 // filename renders the trial coordinates of one entry. The config
-// fingerprint already folds in the machine/link/tuning models, the base
+// fingerprint already folds in the machine and link configs, the base
 // seed, and (for resilience entries) the trial options.
 func (k cacheKey) filename() string {
 	return fmt.Sprintf("%016x-%d-%d-%d-%d.memo", k.fp, k.variant, int(k.Kind), int(k.Strategy), k.Prefetch)

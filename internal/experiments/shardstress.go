@@ -49,6 +49,13 @@ const (
 	ssServeFetchCPU = 200 * time.Microsecond
 	ssFetchReply    = ssHdrBytes + ssPage
 
+	// ssInflightCap bounds concurrent inbound migrations per machine;
+	// offers beyond it are rejected.
+	ssInflightCap = 2
+	// ssFetches is the number of residual page fetches a migrated
+	// process performs against its source's backer before resuming.
+	ssFetches = 8
+
 	// ssGrace keeps control daemons and backers serving after the
 	// migration horizon so every in-flight transfer and residual fetch
 	// drains; it is far beyond any plausible tail, and the invariant
@@ -82,12 +89,6 @@ type ShardStressOptions struct {
 	// ProcOps is the number of compute/IO ops per process program
 	// (default 120).
 	ProcOps int
-	// InflightCap bounds concurrent inbound migrations per machine;
-	// offers beyond it are rejected (default 2).
-	InflightCap int
-	// Fetches is the number of residual page fetches a migrated process
-	// performs against its source's backer before resuming (default 8).
-	Fetches int
 	// Seed perturbs every per-machine decision stream (default 1987).
 	Seed uint64
 }
@@ -104,12 +105,6 @@ func (o ShardStressOptions) withDefaults() ShardStressOptions {
 	}
 	if o.ProcOps == 0 {
 		o.ProcOps = 120
-	}
-	if o.InflightCap == 0 {
-		o.InflightCap = 2
-	}
-	if o.Fetches == 0 {
-		o.Fetches = 8
 	}
 	if o.Seed == 0 {
 		o.Seed = 1987
@@ -355,7 +350,7 @@ func (n *ssNode) handle(p *sim.Proc, s *ssState, msg ssMsg) {
 	switch msg.kind {
 	case ssOffer:
 		from := s.nodes[msg.src]
-		if p.Now() >= s.span || n.inflightIn >= s.opts.InflightCap {
+		if p.Now() >= s.span || n.inflightIn >= ssInflightCap {
 			n.rejects++
 			n.sendCtrl(p, from, ssMsg{kind: ssReject, src: n.idx, mig: msg.mig})
 			return
@@ -463,7 +458,7 @@ func (n *ssNode) insert(p *sim.Proc, s *ssState, mig *ssMig) {
 	n.m.K.Go(mig.name+".warm", func(wp *sim.Proc) {
 		replyQ := sim.NewQueue[int](n.m.K)
 		var stall time.Duration
-		for i := 0; i < s.opts.Fetches; i++ {
+		for i := 0; i < ssFetches; i++ {
 			t0 := wp.Now()
 			f := &ssFetch{from: n.idx, reply: replyQ}
 			backq := src.backq

@@ -202,36 +202,31 @@ func (m *Message) WireBytes() int {
 	return n
 }
 
-// Config sets the IPC cost model. Zero values select defaults
+// IPC cost model, calibrated for the Perq-era testbed.
+const (
+	// perMsgCPU is the fixed kernel cost of queueing or dequeueing one
+	// message.
+	perMsgCPU = 2 * time.Millisecond
+	// CopyPerByte is the cost of physically copying payload.
+	CopyPerByte = 1500 * time.Nanosecond // ≈0.7 MB/s Perq memcpy
+	// mapPerPage is the cost of map-in/map-out per page for large
+	// messages transferred by COW mapping.
+	mapPerPage = 20 * time.Microsecond
+)
+
+// Config sets the IPC copy-or-map policy. Zero values select defaults
 // calibrated for the Perq-era testbed.
 type Config struct {
 	// CopyThreshold: messages at or below this many payload bytes are
 	// physically copied; larger ones are memory-mapped copy-on-write.
 	CopyThreshold int
-	// PerMsgCPU is the fixed kernel cost of queueing or dequeueing one
-	// message.
-	PerMsgCPU time.Duration
-	// CopyPerByte is the cost of physically copying payload.
-	CopyPerByte time.Duration
-	// MapPerPage is the cost of map-in/map-out per page for large
-	// messages transferred by COW mapping.
-	MapPerPage time.Duration
-	// PageSize is used to count pages for MapPerPage.
+	// PageSize is used to count pages for mapPerPage.
 	PageSize int
 }
 
 func (c Config) withDefaults() Config {
 	if c.CopyThreshold == 0 {
 		c.CopyThreshold = 4096
-	}
-	if c.PerMsgCPU == 0 {
-		c.PerMsgCPU = 2 * time.Millisecond
-	}
-	if c.CopyPerByte == 0 {
-		c.CopyPerByte = 1500 * time.Nanosecond // ≈0.7 MB/s Perq memcpy
-	}
-	if c.MapPerPage == 0 {
-		c.MapPerPage = 20 * time.Microsecond
 	}
 	if c.PageSize == 0 {
 		c.PageSize = vm.DefaultPageSize
@@ -270,9 +265,6 @@ func NewSystem(k *sim.Kernel, name string, cpu *sim.Resource, cfg Config) *Syste
 		ports: make(map[PortID]*Port),
 	}
 }
-
-// Config exposes the active cost model.
-func (s *System) Config() Config { return s.cfg }
 
 // AllocPort creates a new port owned by this machine.
 func (s *System) AllocPort(name string) *Port {
@@ -332,10 +324,10 @@ func (s *System) transferCPU(m *Message) (time.Duration, bool) {
 		}
 	}
 	if payload <= s.cfg.CopyThreshold {
-		return time.Duration(payload) * s.cfg.CopyPerByte, true
+		return time.Duration(payload) * CopyPerByte, true
 	}
 	pages := (payload + s.cfg.PageSize - 1) / s.cfg.PageSize
-	return time.Duration(pages) * s.cfg.MapPerPage, false
+	return time.Duration(pages) * mapPerPage, false
 }
 
 // SetRouter installs the network-forwarding hook consulted when a
@@ -368,8 +360,8 @@ func (s *System) emitMsg(kind obs.Kind, p *sim.Proc, m *Message, cost time.Durat
 // router or no route the send fails with ErrDeadPort.
 func (s *System) Send(p *sim.Proc, m *Message) error {
 	xfer, copied := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgSend, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgSend, p, m, perMsgCPU+xfer)
 	dst, ok := s.ports[m.To]
 	if !ok || dst.dead {
 		if s.router != nil && s.router(m) {
@@ -398,8 +390,8 @@ func (s *System) Send(p *sim.Proc, m *Message) error {
 func (s *System) Receive(p *sim.Proc, port *Port) *Message {
 	m := port.queue.Pop(p)
 	xfer, _ := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgRecv, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgRecv, p, m, perMsgCPU+xfer)
 	s.receives++
 	return m
 }
@@ -412,8 +404,8 @@ func (s *System) ReceiveTimeout(p *sim.Proc, port *Port, d time.Duration) (*Mess
 		return nil, false
 	}
 	xfer, _ := s.transferCPU(m)
-	s.cpu.UseHigh(p, s.cfg.PerMsgCPU+xfer)
-	s.emitMsg(obs.MsgRecv, p, m, s.cfg.PerMsgCPU+xfer)
+	s.cpu.UseHigh(p, perMsgCPU+xfer)
+	s.emitMsg(obs.MsgRecv, p, m, perMsgCPU+xfer)
 	s.receives++
 	return m, true
 }

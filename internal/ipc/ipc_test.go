@@ -79,7 +79,7 @@ func TestMappedTransferCheaperThanCopy(t *testing.T) {
 	if copied {
 		t.Fatal("large message took the copy path")
 	}
-	copyCost := time.Duration(bytes) * s.cfg.CopyPerByte
+	copyCost := time.Duration(bytes) * CopyPerByte
 	if mapped*5 > copyCost {
 		t.Errorf("map cost %v not clearly below copy cost %v", mapped, copyCost)
 	}
@@ -199,7 +199,7 @@ func TestSendChargesCPU(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.CopyThreshold == 0 || c.PerMsgCPU == 0 || c.CopyPerByte == 0 || c.MapPerPage == 0 {
+	if c.CopyThreshold == 0 {
 		t.Errorf("defaults missing: %+v", c)
 	}
 	if c.PageSize != vm.DefaultPageSize {

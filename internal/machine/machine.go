@@ -58,7 +58,6 @@ func (c Config) withDefaults() Config {
 	if c.Net.FragBytes == 0 {
 		c.Net.FragBytes = c.PageSize
 	}
-	c.Dedup = c.Dedup.WithDefaults()
 	return c
 }
 
@@ -191,8 +190,8 @@ func New(k *sim.Kernel, name string, cfg Config) *Machine {
 	}
 	if cfg.Dedup.Enabled || cfg.Dedup.Integrity {
 		m.Index = vm.NewContentIndex(cfg.PageSize)
-		srv.SetContentIndex(m.Index, cfg.Dedup.HashPerPageCPU)
-		pg.SetContentIndex(m.Index, cfg.Dedup)
+		srv.SetContentIndex(m.Index)
+		pg.SetContentIndex(m.Index)
 	}
 	if cfg.Dedup.Resume {
 		m.Ledger = vm.NewDeliveryLedger()

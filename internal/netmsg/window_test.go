@@ -209,7 +209,7 @@ func TestWindowedPartitionMidTransfer(t *testing.T) {
 
 // TestFragUnitAgreesWithWire: the transport's fragment math and the
 // wire encoder's accounting must share one fragmentation unit
-// (FragBytes + FragHeadroom, via wire.FragCount) exactly — no more
+// (FragBytes + fragHeadroom, via wire.FragCount) exactly — no more
 // loose ratio bounds. For representative data-plane messages the test
 // round-trips the frame and asserts (a) the re-encoded frame length is
 // identical, so a forwarded-then-reforwarded message fragments the
@@ -217,13 +217,13 @@ func TestWindowedPartitionMidTransfer(t *testing.T) {
 // fragments than the transport charged for it from WireBytes.
 func TestFragUnitAgreesWithWire(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if got, want := cfg.FragUnit(), cfg.FragBytes+cfg.FragHeadroom; got != want {
+	if got, want := cfg.FragUnit(), cfg.FragBytes+fragHeadroom; got != want {
 		t.Fatalf("FragUnit = %d, want %d", got, want)
 	}
 	// Exact agreement on the unit: the transport's FragsFor is the same
 	// computation as wire.FragCount for every length.
 	for n := 0; n < 4*cfg.FragUnit(); n += 97 {
-		if got, want := cfg.FragsFor(n), wire.FragCount(n, cfg.FragBytes, cfg.FragHeadroom); got != want {
+		if got, want := cfg.FragsFor(n), wire.FragCount(n, cfg.FragBytes, fragHeadroom); got != want {
 			t.Fatalf("FragsFor(%d) = %d, wire.FragCount = %d", n, got, want)
 		}
 	}
@@ -246,7 +246,7 @@ func TestFragUnitAgreesWithWire(t *testing.T) {
 		if len(frame2) != len(frame) {
 			t.Errorf("%d pages: round-trip changed frame length %d -> %d", pages, len(frame), len(frame2))
 		}
-		fromFrame := wire.FragCount(len(frame), cfg.FragBytes, cfg.FragHeadroom)
+		fromFrame := wire.FragCount(len(frame), cfg.FragBytes, fragHeadroom)
 		charged := cfg.FragsFor(m.WireBytes())
 		if fromFrame > charged {
 			t.Errorf("%d pages: encoded frame needs %d fragments but the transport charged only %d (frame %d B, WireBytes %d)",

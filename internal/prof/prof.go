@@ -178,28 +178,14 @@ func (b *Breakdown) Dominant() Class {
 	return best
 }
 
-// Options parameterizes a Build. The zero value matches the standard
-// two-machine testbed.
-type Options struct {
-	// Src and Dst name the source and destination machines (defaults
-	// "src" and "dst").
-	Src, Dst string
-	// Bucket is the utilization-timeline bucket width (default 1s).
-	Bucket time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.Src == "" {
-		o.Src = "src"
-	}
-	if o.Dst == "" {
-		o.Dst = "dst"
-	}
-	if o.Bucket <= 0 {
-		o.Bucket = time.Second
-	}
-	return o
-}
+// Build profiles the standard two-machine testbed: it attributes CPU
+// holds to the machines named srcMachine and dstMachine, and buckets
+// the utilization timeline at utilBucket.
+const (
+	srcMachine = "src"
+	dstMachine = "dst"
+	utilBucket = time.Second
+)
 
 // Profile is the reconstruction of one migration.
 type Profile struct {
@@ -286,8 +272,7 @@ type msgSite struct {
 // arrive in emission order with back-dated timestamps (EmitAt); they
 // are re-ordered by (T, Seq) first. An end-before-begin phase pair —
 // which would be a negative-duration span — is an error.
-func Build(events []obs.Event, opt Options) (*Profile, error) {
-	opt = opt.withDefaults()
+func Build(events []obs.Event) (*Profile, error) {
 	evs := make([]obs.Event, len(events))
 	copy(evs, events)
 	sort.SliceStable(evs, func(i, j int) bool {
@@ -298,10 +283,10 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 	})
 
 	pf := &Profile{
-		Src:        opt.Src,
-		Dst:        opt.Dst,
+		Src:        srcMachine,
+		Dst:        dstMachine,
 		PhaseBlame: make(map[string]*Breakdown, len(MigrationPhases)),
-		Util:       metrics.NewUtilization(opt.Bucket),
+		Util:       metrics.NewUtilization(utilBucket),
 	}
 
 	phaseOpen := make(map[string]obs.Event) // machine|name -> begin event
@@ -360,11 +345,11 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 				}
 			}
 		case obs.StateChange:
-			if ev.Name == "Resumed" && ev.Machine == opt.Dst {
+			if ev.Name == "Resumed" && ev.Machine == dstMachine {
 				resumes = append(resumes, ev.T)
 			}
 		case obs.ResourceHold:
-			if cl, ok := classifyHold(ev, opt); ok && ev.Dur > 0 {
+			if cl, ok := classifyHold(ev); ok && ev.Dur > 0 {
 				pf.Spans = append(pf.Spans, Span{
 					Class: cl, Resource: ev.Name, Proc: ev.Proc,
 					Start: ev.T - ev.Dur, End: ev.T, Seq: ev.Seq,
@@ -444,11 +429,11 @@ func Build(events []obs.Event, opt Options) (*Profile, error) {
 // name: "<machine>.cpu" to the machine's CPU class, anything with
 // ".disk" to Disk. Unknown resources are unattributed (covered by
 // Other in the partition).
-func classifyHold(ev obs.Event, opt Options) (Class, bool) {
+func classifyHold(ev obs.Event) (Class, bool) {
 	switch {
-	case ev.Name == opt.Src+".cpu":
+	case ev.Name == srcMachine+".cpu":
 		return SrcCPU, true
-	case ev.Name == opt.Dst+".cpu":
+	case ev.Name == dstMachine+".cpu":
 		return DstCPU, true
 	case strings.Contains(ev.Name, ".disk"):
 		return Disk, true
