@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke identity report bench clean
+.PHONY: all build test race vet check faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity report bench clean
 
 all: build
 
@@ -16,7 +16,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke identity
+check: build vet test race faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity
 
 # Fault-injection determinism gate: the resilience experiment — lossy
 # sweeps, crashes, a partition — must be byte-identical across two
@@ -90,6 +90,16 @@ shardsmoke:
 	$(GO) test -count=1 -run 'TestShardStressDeterminism' -v ./internal/experiments/ | grep -v '^=== RUN'
 	$(GO) run ./cmd/migsim -exp shardstress > /dev/null
 	@echo "shardsmoke: sharded kernel byte-identical to sequential"
+
+# Teardown gate: Kernel.Close must unwind procs parked on every
+# blocking primitive (deferred calls run once, no goroutine survives),
+# and every trial function must close the kernel it builds, so a
+# finished trial leaves no simulation goroutine parked behind it. The
+# test output is not piped, so a failing test fails the target.
+leakcheck:
+	$(GO) test -count=1 -run 'TestClose|TestClusterClose' -v ./internal/sim/
+	$(GO) test -count=1 -run 'TestTrialKernelsClosed' -v ./internal/experiments/
+	@echo "leakcheck: closed kernels leave no parked procs"
 
 # Identity gate: the default configuration (W=1, K=1) must still
 # produce byte-identical experiment output to the committed golden, and

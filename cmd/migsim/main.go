@@ -15,6 +15,7 @@
 //	migsim -exp summary -window 16  # any experiment under a pipelined transport
 //	migsim -exp table4-5 -faults plan.json -max-retries 2
 //	migsim -exp all -memo-cache   # warm reruns load trial results from .migcache/
+//	migsim -exp all -cpuprofile cpu.out -memprofile mem.out  # profile the simulator itself
 //	migsim -list
 //
 // Trials are scheduled by the experiments.Engine: independent grid
@@ -29,6 +30,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -110,7 +113,19 @@ func main() {
 	profile := flag.Bool("profile", false, "profile one traced migration per workload x strategy (critical path, blame, downtime) instead of running -exp")
 	memoCache := flag.Bool("memo-cache", false, "persist trial results in a disk cache (default .migcache/) reused across runs")
 	memoCacheDir := flag.String("memo-cache-dir", "", "disk cache directory (implies -memo-cache)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the simulator to this file")
+	memProfile := flag.String("memprofile", "", "write a host heap profile of the simulator to this file at exit")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	experiments.SetWorkers(*parallel)
 	if *memoCache || *memoCacheDir != "" {
@@ -176,6 +191,44 @@ func main() {
 			fatal(fmt.Errorf("writing trace: %w", err))
 		}
 	}
+}
+
+// startProfiles begins a host CPU profile into cpuPath, if set, and
+// returns the function that ends it and then, if memPath is set, writes
+// a heap profile there after a GC. Both profile the simulator process,
+// not the simulated system, and leave stdout untouched.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 func fatal(err error) {

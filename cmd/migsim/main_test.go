@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"accentmig/internal/experiments"
 	"accentmig/internal/workload"
@@ -132,5 +135,45 @@ func TestExperimentOrderMatchesDispatch(t *testing.T) {
 		if err := run(id, []workload.Kind{workload.Minprog}); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
+	}
+}
+
+// TestGoldenWithHostProfiles checks that -cpuprofile and -memprofile
+// only write their files: the -exp all output with both set must still
+// match testdata/exp_all.golden byte for byte. It also checks that the
+// run leaves no simulation goroutine parked behind it.
+func TestGoldenWithHostProfiles(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/exp_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpuPath, memPath := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	experiments.Default.Reset()
+	defer experiments.Default.Reset()
+
+	base := runtime.NumGoroutine()
+	stop, err := startProfiles(cpuPath, memPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := captureRunAll(t)
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, golden) {
+		t.Fatalf("output with host profiles differs from golden (%d vs %d bytes)", len(out), len(golden))
+	}
+	for _, p := range []string{cpuPath, memPath} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s not written (%v)", p, err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after -exp all, want baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

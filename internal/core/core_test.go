@@ -389,6 +389,59 @@ func TestExciseTimingsBreakdown(t *testing.T) {
 	}
 }
 
+// TestExciseSizesCollapsedAreaOnce checks that each collapsed
+// attachment's buffer is allocated at its final size: no slack
+// capacity, exactly one page image per counted page, and the split the
+// strategy asks for.
+func TestExciseSizesCollapsedAreaOnce(t *testing.T) {
+	for _, tc := range []struct {
+		strat          Strategy
+		resident, lazy int
+	}{
+		{PureIOU, 0, 21},
+		{ResidentSet, 5, 16},
+		{PureCopy, 0, 21},
+		{PreCopied, 0, 0},
+	} {
+		t.Run(tc.strat.String(), func(t *testing.T) {
+			tb := newTestbed(t)
+			pr := tb.makeProc(t, "job", 21, 5, 0)
+			var ctx *Context
+			var err error
+			tb.k.Go("excise", func(p *sim.Proc) {
+				ctx, err = ExciseProcess(p, tb.src, pr, tc.strat, 0)
+			})
+			tb.k.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resident, lazy := 0, 0
+			for _, att := range ctx.RIMAS.Mem {
+				if !att.Collapsed {
+					continue
+				}
+				if len(att.Runs) != 1 {
+					t.Fatalf("collapsed attachment has %d runs, want 1", len(att.Runs))
+				}
+				run := att.Runs[0]
+				if len(run.Data) != run.Count*512 || cap(run.Data) != len(run.Data) {
+					t.Errorf("run of %d pages: len %d cap %d, want both %d",
+						run.Count, len(run.Data), cap(run.Data), run.Count*512)
+				}
+				if att.Resident {
+					resident += run.Count
+				} else {
+					lazy += run.Count
+				}
+			}
+			if resident != tc.resident || lazy != tc.lazy {
+				t.Errorf("collapsed %d resident + %d lazy pages, want %d + %d",
+					resident, lazy, tc.resident, tc.lazy)
+			}
+		})
+	}
+}
+
 func TestHoldAtDest(t *testing.T) {
 	tb := newTestbed(t)
 	pr := tb.makeProc(t, "job", 8, 2, 4)

@@ -166,6 +166,9 @@ func ExciseProcess(p *sim.Proc, m *machine.Machine, pr *machine.Process, strat S
 	var runs []CollapsedRun
 	lazy := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true}
 	res := &ipc.MemAttachment{Kind: ipc.AttachData, Collapsed: true, Resident: true, Copy: true}
+	lazyPages, resPages := collapsedPageCounts(pr.AS, amap, strat)
+	reserveCollapsed(lazy, lazyPages, pr.AS.PageSize())
+	reserveCollapsed(res, resPages, pr.AS.PageSize())
 	var imagAtts []*ipc.MemAttachment
 	var resident, real int
 	for _, e := range amap.Entries {
@@ -320,15 +323,52 @@ func collapseRealRun(as *vm.AddressSpace, e vm.AMapEntry, strat Strategy, lazy, 
 	return runs, resident, total
 }
 
-// appendCollapsedPage copies one page image onto the tail of a
-// collapsed attachment. Collapsed pages are densely numbered from zero,
-// so the whole attachment is a single run whose buffer the attachment
-// owns — the source segment's frames can be recycled the moment the
-// process is excised, and the staged context survives rollback.
-func appendCollapsedPage(dst *ipc.MemAttachment, data []byte, pageSize int) {
-	if len(dst.Runs) == 0 {
-		dst.Runs = append(dst.Runs, vm.PageRun{Index: 0})
+// collapsedPageCounts counts the pages collapseRealRun will copy into
+// the lazy and resident attachments, so that each buffer is allocated
+// once at its final size instead of growing a page at a time.
+func collapsedPageCounts(as *vm.AddressSpace, amap *vm.AMap, strat Strategy) (lazy, res int) {
+	if strat == PreCopied {
+		return 0, 0
 	}
+	ps := vm.Addr(as.PageSize())
+	for _, e := range amap.Entries {
+		if e.Access != vm.RealMem {
+			continue
+		}
+		for a := e.Start; a < e.End; a += ps {
+			pl, ok := as.Resolve(a)
+			if !ok {
+				continue
+			}
+			pg := pl.Seg.Page(pl.PageIdx)
+			if pg == nil {
+				continue
+			}
+			if strat == ResidentSet && pg.State.Resident {
+				res++
+			} else {
+				lazy++
+			}
+		}
+	}
+	return lazy, res
+}
+
+// reserveCollapsed gives an empty collapsed attachment its single run
+// with room for pages page images.
+func reserveCollapsed(dst *ipc.MemAttachment, pages, pageSize int) {
+	if pages > 0 {
+		dst.Runs = []vm.PageRun{{Index: 0, Data: make([]byte, 0, pages*pageSize)}}
+	}
+}
+
+// appendCollapsedPage copies one page image onto the tail of a
+// collapsed attachment that reserveCollapsed has sized. Collapsed pages
+// are densely numbered from zero, so the whole attachment is a single
+// run whose buffer the attachment owns — the source segment's frames
+// can be recycled the moment the process is excised, and the staged
+// context survives rollback.
+func appendCollapsedPage(dst *ipc.MemAttachment, data []byte, pageSize int) {
 	run := &dst.Runs[0]
 	run.Data = append(run.Data, data...)
 	if short := run.Count*pageSize + pageSize - len(run.Data); short > 0 {

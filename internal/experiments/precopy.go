@@ -83,6 +83,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 		rep, runErr = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID)
 	})
 	tb.K.RunUntil(30 * time.Minute)
+	tb.K.Close()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -125,6 +126,7 @@ func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 			total = r.InsertDoneAt - start
 		})
 		tb.K.RunUntil(30 * time.Minute)
+		tb.K.Close()
 		if stopErr != nil {
 			return nil, stopErr
 		}

@@ -640,6 +640,11 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 	if wall > 0 {
 		perf.EventsPerSec = float64(perf.Events) / wall.Seconds()
 	}
+	if sharded {
+		cl.Close()
+	} else {
+		kernels[0].Close()
+	}
 	return res, perf, nil
 }
 

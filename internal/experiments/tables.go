@@ -26,6 +26,7 @@ func Table41(cfg Config) ([]Row41, error) {
 	for _, k := range workload.Kinds() {
 		tb := NewTestbed(cfg)
 		b, err := workload.Build(tb.Src, k)
+		tb.K.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -39,6 +39,7 @@ type Kernel struct {
 
 	cur      *Proc // proc currently executing, nil in callback context
 	live     int   // procs started and not yet finished
+	procs    *Proc // head of the intrusive list of unfinished procs
 	ran      uint64
 	stopped  bool
 	deadline time.Duration
@@ -146,7 +147,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Run dispatches events until the event heap is empty, the deadline set
 // by RunUntil is reached, or Stop is called. It returns the virtual time
 // at which it stopped. Procs that are still blocked when the heap drains
-// simply remain parked; this mirrors an idle operating system.
+// stay parked — an idle operating system, whose servers wait for
+// requests that will never come — until Close unwinds them.
 func (k *Kernel) Run() time.Duration {
 	if k.cur != nil {
 		panic("sim: Run called from proc context")
@@ -221,9 +223,63 @@ func (k *Kernel) NextEventAt() (time.Duration, bool) {
 
 // LiveProcs reports the number of procs that have been started and have
 // not yet returned. A nonzero value with an idle heap means those procs
-// are blocked forever (e.g. servers waiting for requests), which is the
-// normal end state of an OS simulation.
+// are parked with nothing left to wake them (e.g. servers waiting for
+// requests), which is the normal end state of an OS simulation; Close
+// unwinds them and brings the count to zero.
 func (k *Kernel) LiveProcs() int { return k.live }
+
+// Close tears the simulation down once its results have been read.
+// Every unfinished proc is killed: one whose goroutine is parked is
+// resumed and unwinds its body through the same path as Kill, running
+// its deferred calls once; one whose start event never ran is simply
+// finished. The pending events are then dropped. Afterwards no proc
+// goroutine of this kernel remains and the kernel references nothing
+// the simulation built, so the whole simulated system can be
+// collected. The clock and the event count are kept for reporting.
+//
+// Close panics if called from proc context. A second call finds nothing
+// to unwind and is a no-op.
+func (k *Kernel) Close() {
+	if k.cur != nil {
+		panic("sim: Close called from proc context")
+	}
+	// Unwinding runs deferred calls, which may start procs of their
+	// own; those are linked at the head and finished in turn.
+	for p := k.procs; p != nil; p = k.procs {
+		p.killed = true
+		if p.launched {
+			p.unpark()
+		} else {
+			p.finish()
+		}
+	}
+	k.events = eventHeap{}
+	k.nowq = nowRing{}
+}
+
+// link adds p to the unfinished-proc list.
+func (k *Kernel) link(p *Proc) {
+	k.live++
+	p.next = k.procs
+	if k.procs != nil {
+		k.procs.prev = p
+	}
+	k.procs = p
+}
+
+// unlink removes a finished p from the unfinished-proc list.
+func (k *Kernel) unlink(p *Proc) {
+	k.live--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		k.procs = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+}
 
 // nowRing is a head-indexed FIFO ring of zero-delay events for the
 // current instant. The same-instant case dominates dispatch (every

@@ -18,6 +18,13 @@ type Proc struct {
 	killed bool
 	done   bool
 
+	// launched is set once the start event has spun up the goroutine.
+	launched bool
+
+	// prev and next link the proc into its kernel's list of unfinished
+	// procs, which Close walks.
+	prev, next *Proc
+
 	// unparkFn is p.unpark bound once at creation, so the Sleep and
 	// UnparkExternal hot paths schedule it without allocating a fresh
 	// method-value closure per wake-up.
@@ -37,7 +44,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
 	p.unparkFn = p.unpark
-	k.live++
+	k.link(p)
 	k.Schedule(0, func() { p.launch(fn) })
 	return p
 }
@@ -49,6 +56,7 @@ func (p *Proc) launch(fn func(p *Proc)) {
 		p.finish()
 		return
 	}
+	p.launched = true
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -57,13 +65,11 @@ func (p *Proc) launch(fn func(p *Proc)) {
 				} else {
 					// Re-panic on the kernel side so the failure
 					// surfaces with this goroutine's stack attached.
-					p.done = true
-					p.k.live--
+					p.finish()
 					panic(r)
 				}
 			}
-			p.done = true
-			p.k.live--
+			p.finish()
 			p.k.cur = nil
 			p.k.yield <- struct{}{}
 		}()
@@ -75,7 +81,7 @@ func (p *Proc) launch(fn func(p *Proc)) {
 
 func (p *Proc) finish() {
 	p.done = true
-	p.k.live--
+	p.k.unlink(p)
 }
 
 // park hands control back to the kernel and blocks until unparked. It

@@ -325,6 +325,14 @@ func (c *Cluster) deliver(hi time.Duration) {
 	}
 }
 
+// Close closes every lane (see Kernel.Close). Stats and EventsRun stay
+// valid afterwards.
+func (c *Cluster) Close() {
+	for _, k := range c.lanes {
+		k.Close()
+	}
+}
+
 // EventsRun reports the total events dispatched across all lanes.
 func (c *Cluster) EventsRun() uint64 {
 	var n uint64
