@@ -16,6 +16,8 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Every gate below runs its go test unpiped: a pipe would hand make the
+# exit status of the last command in it, so a failing test would pass.
 check: build vet test race faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity
 
 # Fault-injection determinism gate: the resilience experiment — lossy
@@ -32,7 +34,7 @@ faultcheck:
 # rebuild, pool recycling) must stay at zero heap allocations, and the
 # VM microbenchmark bodies must run clean at a token iteration count.
 benchsmoke:
-	$(GO) test -count=1 -run 'TestAllocs' -v ./internal/vm/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestAllocs' -v ./internal/vm/
 	$(GO) test -count=1 -run xxx -bench . -benchtime 100x ./internal/vmbench/
 	@echo "benchsmoke: zero-alloc gates hold"
 
@@ -41,8 +43,8 @@ benchsmoke:
 # blame fractions that sum to 1, and an unprofiled run must stay at
 # zero profiler allocations.
 profsmoke:
-	$(GO) test -count=1 -run 'TestProfSmoke' -v ./internal/prof/ | grep -v '^=== RUN'
-	$(GO) test -count=1 -run 'TestAllocsProfileOff' -v ./internal/sim/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestProfSmoke' -v ./internal/prof/
+	$(GO) test -count=1 -run 'TestAllocsProfileOff' -v ./internal/sim/
 	@echo "profsmoke: critical path connected, downtime > 0, blame sums to 1"
 
 # Pipelined-transport smoke: the window/streaming sweep must run end to
@@ -57,7 +59,7 @@ pipelinesmoke:
 # comparison must run end to end on a two-workload subset, and the
 # zero-alloc gate for the disabled store must hold.
 dedupsmoke:
-	$(GO) test -count=1 -run 'TestAllocsDedupOff' -v ./internal/vm/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestAllocsDedupOff' -v ./internal/vm/
 	$(GO) run ./cmd/migsim -exp dedup -kinds Minprog,Lisp-Del > /dev/null
 	@echo "dedupsmoke: store sweep and nearest-holder comparison run"
 
@@ -67,7 +69,7 @@ dedupsmoke:
 # IOUs, no leaked frames, blame summing to 1, bounded downtime — and
 # the resume and ledger-rollback regression tests must pass.
 chaossmoke:
-	$(GO) test -count=1 -run 'TestChaosSmoke|TestResumeRetrySavesBytes|TestManifestCrash' -v ./internal/experiments/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestChaosSmoke|TestResumeRetrySavesBytes|TestManifestCrash' -v ./internal/experiments/
 	@echo "chaossmoke: 32-seed campaign holds all invariants"
 
 # Persistent memo-cache smoke: a cold -exp all run with the disk cache
@@ -76,8 +78,8 @@ chaossmoke:
 # bit-flipped entries must silently recompute, repair, and produce no
 # output drift.
 cachesmoke:
-	$(GO) test -count=1 -run 'TestGoldenWithDiskCache' -v ./cmd/migsim/ | grep -v '^=== RUN'
-	$(GO) test -count=1 -run 'TestDiskCacheWarmIdentity|TestDiskCacheCorruptionFallback' -v ./internal/experiments/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestGoldenWithDiskCache' -v ./cmd/migsim/
+	$(GO) test -count=1 -run 'TestDiskCacheWarmIdentity|TestDiskCacheCorruptionFallback' -v ./internal/experiments/
 	@echo "cachesmoke: warm rerun byte-identical, corrupt entries recompute"
 
 # Sharded-kernel smoke gate: the lane/window scheduler's byte-identity
@@ -86,16 +88,15 @@ cachesmoke:
 # shard-stress experiment — which asserts its own identity check — must
 # all pass.
 shardsmoke:
-	$(GO) test -count=1 -run 'TestClusterMatchesSingleKernel|TestAllocsShardsOff' -v ./internal/sim/ | grep -v '^=== RUN'
-	$(GO) test -count=1 -run 'TestShardStressDeterminism' -v ./internal/experiments/ | grep -v '^=== RUN'
+	$(GO) test -count=1 -run 'TestClusterMatchesSingleKernel|TestAllocsShardsOff' -v ./internal/sim/
+	$(GO) test -count=1 -run 'TestShardStressDeterminism' -v ./internal/experiments/
 	$(GO) run ./cmd/migsim -exp shardstress > /dev/null
 	@echo "shardsmoke: sharded kernel byte-identical to sequential"
 
 # Teardown gate: Kernel.Close must unwind procs parked on every
 # blocking primitive (deferred calls run once, no goroutine survives),
 # and every trial function must close the kernel it builds, so a
-# finished trial leaves no simulation goroutine parked behind it. The
-# test output is not piped, so a failing test fails the target.
+# finished trial leaves no simulation goroutine parked behind it.
 leakcheck:
 	$(GO) test -count=1 -run 'TestClose|TestClusterClose' -v ./internal/sim/
 	$(GO) test -count=1 -run 'TestTrialKernelsClosed' -v ./internal/experiments/

@@ -64,6 +64,10 @@ type Report struct {
 	ResidentPages int
 	Attachments   int
 
+	// PreCopyRounds lists the pages each live staging round of a
+	// PreCopied migration shipped while the process kept running.
+	PreCopyRounds []int
+
 	// Attempts counts the tries the migration took (1 = first try).
 	Attempts int
 	// FinalStrategy is the strategy of the successful attempt, which
@@ -85,6 +89,10 @@ var ErrPhaseTimeout = errors.New("core: migration phase timed out")
 // ErrPeerDead reports that the transport declared the destination
 // unreachable mid-migration.
 var ErrPeerDead = errors.New("core: migration peer unreachable")
+
+// ErrProcessFinished reports that a PreCopied migration's process ran
+// to completion before it could be stopped; it stays on the source.
+var ErrProcessFinished = errors.New("core: process finished before it could be stopped")
 
 // Core context message processing (microstate, PCB, rights), calibrated
 // against the paper's §4.3.2 (≈1 s Core message).
@@ -163,6 +171,23 @@ func (mgr *Manager) state(procName, state string) {
 	if mgr.M.K.Tracing() {
 		mgr.M.K.Emit(obs.Event{
 			Kind: obs.StateChange, Machine: mgr.M.Name, Proc: procName, Name: state,
+		})
+	}
+}
+
+// freeze opens the downtime span: from at the process executes no
+// further instruction until it resumes (machine.exec closes the span
+// with a Resumed state change). It is the only place a migration marks
+// the recorder's freeze, and the Frozen state change it emits at the
+// same instant is what the profiler replays, so both apply the one
+// downtime rule of metrics.Recorder.
+func (mgr *Manager) freeze(procName string, at time.Duration) {
+	if rec := mgr.M.Recorder(); rec != nil {
+		rec.MarkFreeze(at)
+	}
+	if mgr.M.K.Tracing() {
+		mgr.M.K.EmitAt(at, obs.Event{
+			Kind: obs.StateChange, Machine: mgr.M.Name, Proc: procName, Name: "Frozen",
 		})
 	}
 }
@@ -328,10 +353,22 @@ func (mgr *Manager) handlePreCopy(p *sim.Proc, pb *PreCopyBody, m *ipc.Message) 
 // rolled back and resumed at the source and the error explains the
 // abort. A recoverable failure (phase timeout, dead peer) triggers up
 // to MaxRetries further attempts, optionally degrading the strategy.
+//
+// Strategy PreCopied first stages the address space while the process
+// keeps running, then stops and freezes it and ships the pages dirtied
+// since (see preCopy); the attempts that follow carry structure only.
 func (mgr *Manager) MigrateTo(p *sim.Proc, procName string, destPort ipc.PortID, opts Options) (*Report, error) {
 	timeout := opts.AckTimeout
 	if timeout == 0 {
 		timeout = DefaultAckTimeout
+	}
+	var rounds []int
+	if opts.Strategy == PreCopied {
+		var err error
+		if rounds, err = mgr.preCopy(p, procName, destPort); err != nil {
+			mgr.resumeLocal(p, procName)
+			return nil, err
+		}
 	}
 	// One reply port across all attempts, so an acknowledgement that
 	// limps in after its attempt was abandoned still lands here — the
@@ -355,6 +392,7 @@ func (mgr *Manager) MigrateTo(p *sim.Proc, procName string, destPort ipc.PortID,
 		}
 		rep, err := mgr.migrateOnce(p, procName, destPort, reply, opts, strat, timeout, attempt)
 		if err == nil {
+			rep.PreCopyRounds = rounds
 			rep.Attempts = attempt + 1
 			rep.FinalStrategy = strat
 			return rep, nil
@@ -404,12 +442,7 @@ func (mgr *Manager) migrateOnce(p *sim.Proc, procName string, destPort ipc.PortI
 		pr.AtMigrate.Wait(p)
 	}
 	startAt := p.Now()
-	if rec := mgr.M.Recorder(); rec != nil {
-		// Downtime opens here: the process executes no further
-		// instruction until it resumes at the destination (or rolls
-		// back). machine.exec closes the span.
-		rec.MarkFreeze(startAt)
-	}
+	mgr.freeze(procName, startAt)
 
 	mgr.hook(p, "excise")
 	ctx, err := ExciseProcess(p, mgr.M, pr, strat, opts.Prefetch)
@@ -526,25 +559,51 @@ func (mgr *Manager) adoptedReport(p *sim.Proc, procName string, ctx *Context, ac
 // from earlier attempts are skipped as stale — except a successful
 // OpMigrateAck, which is adopted (adopted true): the destination
 // completed that attempt's insertion, so the migration has in fact
-// succeeded. An OpSendFailed nack from the transport becomes
-// ErrPeerDead.
+// succeeded.
 func (mgr *Manager) awaitAck(p *sim.Proc, reply *ipc.Port, wantOp, attempt int, timeout time.Duration, procName, phase string) (ack *AckBody, adopted bool, err error) {
+	err = mgr.awaitReply(p, reply, timeout, procName, attempt, "ack in "+phase, "in "+phase, func(m *ipc.Message) (bool, error) {
+		if _, stale := m.Body.(*ManifestAckBody); stale {
+			return false, nil // manifest ack limping in from an abandoned attempt
+		}
+		ab, ok := m.Body.(*AckBody)
+		if !ok {
+			return false, fmt.Errorf("core: malformed migration ack for %q: op %#x body %T",
+				procName, m.Op, m.Body)
+		}
+		if ab.Attempt != attempt {
+			if m.Op == OpMigrateAck && ab.Err == "" {
+				ack, adopted = ab, true
+				return true, nil
+			}
+			return false, nil // stale ack of an abandoned attempt
+		}
+		if m.Op != wantOp {
+			return false, nil // duplicate of an already-consumed ack
+		}
+		ack = ab
+		return true, nil
+	})
+	return ack, adopted, err
+}
+
+// awaitReply receives on reply until accept takes a message (or fails),
+// bounded by the per-phase timeout (non-positive waits forever). The
+// deadline expiring is ErrPhaseTimeout "awaiting <waiting>"; an
+// OpSendFailed nack from the transport is ErrPeerDead "<at>".
+func (mgr *Manager) awaitReply(p *sim.Proc, reply *ipc.Port, timeout time.Duration, procName string, attempt int, waiting, at string, accept func(*ipc.Message) (bool, error)) error {
 	deadline := p.Now() + timeout
 	for {
 		var m *ipc.Message
 		if timeout <= 0 {
 			m = mgr.M.IPC.Receive(p, reply)
 		} else {
-			remain := deadline - p.Now()
-			if remain <= 0 {
-				return nil, false, fmt.Errorf("%w: %q awaiting ack in %s (attempt %d)",
-					ErrPhaseTimeout, procName, phase, attempt)
-			}
 			var got bool
-			m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain)
+			if remain := deadline - p.Now(); remain > 0 {
+				m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain)
+			}
 			if !got {
-				return nil, false, fmt.Errorf("%w: %q awaiting ack in %s (attempt %d)",
-					ErrPhaseTimeout, procName, phase, attempt)
+				return fmt.Errorf("%w: %q awaiting %s (attempt %d)",
+					ErrPhaseTimeout, procName, waiting, attempt)
 			}
 		}
 		if m.Op == ipc.OpSendFailed {
@@ -552,27 +611,12 @@ func (mgr *Manager) awaitAck(p *sim.Proc, reply *ipc.Port, wantOp, attempt int, 
 			if sf, ok := m.Body.(*ipc.SendFailure); ok {
 				reason = sf.Reason
 			}
-			return nil, false, fmt.Errorf("%w: %q in %s (attempt %d): %s",
-				ErrPeerDead, procName, phase, attempt, reason)
+			return fmt.Errorf("%w: %q %s (attempt %d): %s",
+				ErrPeerDead, procName, at, attempt, reason)
 		}
-		if _, stale := m.Body.(*ManifestAckBody); stale {
-			continue // manifest ack limping in from an abandoned attempt
+		if done, err := accept(m); done || err != nil {
+			return err
 		}
-		ab, ok := m.Body.(*AckBody)
-		if !ok {
-			return nil, false, fmt.Errorf("core: malformed migration ack for %q: op %#x body %T",
-				procName, m.Op, m.Body)
-		}
-		if ab.Attempt != attempt {
-			if m.Op == OpMigrateAck && ab.Err == "" {
-				return ab, true, nil
-			}
-			continue // stale ack of an abandoned attempt
-		}
-		if m.Op != wantOp {
-			continue // duplicate of an already-consumed ack
-		}
-		return ab, false, nil
 	}
 }
 
@@ -642,38 +686,16 @@ func (mgr *Manager) exchangeManifest(p *sim.Proc, procName string, destPort ipc.
 // awaitManifestAck waits for the manifest answer of the current
 // attempt, bounded by the per-phase timeout.
 func (mgr *Manager) awaitManifestAck(p *sim.Proc, reply *ipc.Port, attempt int, timeout time.Duration, procName string) (*ManifestAckBody, error) {
-	deadline := p.Now() + timeout
-	for {
-		var m *ipc.Message
-		if timeout <= 0 {
-			m = mgr.M.IPC.Receive(p, reply)
-		} else {
-			remain := deadline - p.Now()
-			if remain <= 0 {
-				return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d)",
-					ErrPhaseTimeout, procName, attempt)
-			}
-			var got bool
-			m, got = mgr.M.IPC.ReceiveTimeout(p, reply, remain)
-			if !got {
-				return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d)",
-					ErrPhaseTimeout, procName, attempt)
-			}
-		}
-		if m.Op == ipc.OpSendFailed {
-			reason := "unknown"
-			if sf, ok := m.Body.(*ipc.SendFailure); ok {
-				reason = sf.Reason
-			}
-			return nil, fmt.Errorf("%w: %q awaiting manifest ack (attempt %d): %s",
-				ErrPeerDead, procName, attempt, reason)
-		}
+	var ack *ManifestAckBody
+	err := mgr.awaitReply(p, reply, timeout, procName, attempt, "manifest ack", "awaiting manifest ack", func(m *ipc.Message) (bool, error) {
 		ab, ok := m.Body.(*ManifestAckBody)
 		if !ok || ab.Attempt != attempt {
-			continue // stale ack of an earlier attempt or phase
+			return false, nil // stale ack of an earlier attempt or phase
 		}
-		return ab, nil
-	}
+		ack = ab
+		return true, nil
+	})
+	return ack, err
 }
 
 // rollback reinstates an excised process on the source machine from

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"accentmig/internal/ipc"
 	"accentmig/internal/machine"
@@ -41,16 +40,6 @@ const (
 	// at most this many pages.
 	preCopyStopPages = 8
 )
-
-// PreCopyReport accounts one pre-copy migration.
-type PreCopyReport struct {
-	Rounds        []int // pages sent per running round
-	FinalPages    int   // pages sent during the stopped round
-	Downtime      time.Duration
-	Total         time.Duration
-	InsertDoneAt  time.Duration
-	ProcCompleted bool // the program finished before it could be moved
-}
 
 // stalePages lists (VA, version, data snapshot) for every materialized
 // page whose content is newer than what was last sent.
@@ -118,18 +107,19 @@ func (mgr *Manager) stageRound(p *sim.Proc, procName string, destPort ipc.PortID
 	return nil
 }
 
-// PreCopyTo migrates procName to the manager at destPort using
-// iterative pre-copy. The process keeps running during the copy rounds;
-// writes race the transfer and are caught by page versioning.
-func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID) (*PreCopyReport, error) {
+// preCopy stages procName's address space at the manager on destPort
+// for a PreCopied migration. The process keeps running during the live
+// rounds; writes race the transfer and are caught by page versioning.
+// It is then stopped and frozen, and the pages dirtied since the last
+// round move inside the frozen interval. It returns the pages each live
+// round shipped, or ErrProcessFinished if the program ended first.
+func (mgr *Manager) preCopy(p *sim.Proc, procName string, destPort ipc.PortID) ([]int, error) {
 	pr, ok := mgr.M.Process(procName)
 	if !ok {
 		return nil, fmt.Errorf("core: no process %q on %s", procName, mgr.M.Name)
 	}
-	start := p.Now()
-	rep := &PreCopyReport{}
+	var rounds []int
 	sent := make(map[vm.Addr]uint64)
-
 	for round := 0; round < preCopyMaxRounds; round++ {
 		stale := collectStale(pr, sent)
 		if round > 0 && len(stale) <= preCopyStopPages {
@@ -144,38 +134,21 @@ func (mgr *Manager) PreCopyTo(p *sim.Proc, procName string, destPort ipc.PortID)
 		if err := mgr.stageRound(p, procName, destPort, round, stale); err != nil {
 			return nil, err
 		}
-		rep.Rounds = append(rep.Rounds, len(stale))
+		rounds = append(rounds, len(stale))
 		if pr.Done.Opened() {
 			break
 		}
 	}
 
-	// Stop the process; anything dirtied since the last round moves
-	// during downtime.
 	mgr.M.RequestPreempt(pr)
 	if !mgr.M.WaitStopped(p, pr) {
-		rep.ProcCompleted = true
-		rep.Total = p.Now() - start
-		return rep, nil
+		return nil, fmt.Errorf("%w: %q on %s", ErrProcessFinished, procName, mgr.M.Name)
 	}
-	downStart := p.Now()
-	final := collectStale(pr, sent)
-	rep.FinalPages = len(final)
-	if len(final) > 0 {
-		if err := mgr.stageRound(p, procName, destPort, len(rep.Rounds), final); err != nil {
+	mgr.freeze(procName, p.Now())
+	if final := collectStale(pr, sent); len(final) > 0 {
+		if err := mgr.stageRound(p, procName, destPort, len(rounds), final); err != nil {
 			return nil, err
 		}
 	}
-
-	r, err := mgr.MigrateTo(p, procName, destPort, Options{
-		Strategy:         PreCopied,
-		WaitMigratePoint: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Downtime = r.InsertDoneAt - downStart
-	rep.Total = r.InsertDoneAt - start
-	rep.InsertDoneAt = r.InsertDoneAt
-	return rep, nil
+	return rounds, nil
 }

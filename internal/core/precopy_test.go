@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"accentmig/internal/machine"
+	"accentmig/internal/metrics"
 	"accentmig/internal/sim"
 	"accentmig/internal/trace"
 	"accentmig/internal/vm"
@@ -44,28 +46,29 @@ func TestPreCopyMigration(t *testing.T) {
 	pr, _ := tb.src.Process("writer")
 	tb.src.Start(pr)
 
-	var rep *PreCopyReport
+	var rep *Report
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Second) // let it run and dirty some pages
-		rep, err = tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID)
+		rep, err = tb.srcM.MigrateTo(p, "writer", tb.dstM.Port.ID, Options{Strategy: PreCopied})
 	})
 	tb.k.Run()
+	if errors.Is(err, ErrProcessFinished) {
+		t.Fatal("process finished before migration; lengthen the program")
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ProcCompleted {
-		t.Fatal("process finished before migration; lengthen the program")
-	}
-	if len(rep.Rounds) == 0 {
+	rounds := rep.PreCopyRounds
+	if len(rounds) == 0 {
 		t.Fatal("no pre-copy rounds ran")
 	}
 	// First round ships (almost) everything; later rounds only dirt.
-	if rep.Rounds[0] < 50 {
-		t.Errorf("round 0 sent %d pages, want most of 64", rep.Rounds[0])
+	if rounds[0] < 50 {
+		t.Errorf("round 0 sent %d pages, want most of 64", rounds[0])
 	}
-	if len(rep.Rounds) > 1 && rep.Rounds[1] >= rep.Rounds[0] {
-		t.Errorf("round 1 (%d) not smaller than round 0 (%d)", rep.Rounds[1], rep.Rounds[0])
+	if len(rounds) > 1 && rounds[1] >= rounds[0] {
+		t.Errorf("round 1 (%d) not smaller than round 0 (%d)", rounds[1], rounds[0])
 	}
 	// The process must resume at the destination and finish correctly.
 	npr, ok := tb.dst.Process("writer")
@@ -113,8 +116,8 @@ func TestPreCopyDataIntegrityUnderWrites(t *testing.T) {
 
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(500 * time.Millisecond)
-		if _, err := tb.srcM.PreCopyTo(p, "writer", tb.dstM.Port.ID); err != nil {
-			t.Errorf("PreCopyTo: %v", err)
+		if _, err := tb.srcM.MigrateTo(p, "writer", tb.dstM.Port.ID, Options{Strategy: PreCopied}); err != nil {
+			t.Errorf("MigrateTo(PreCopied): %v", err)
 			return
 		}
 		npr, ok := tb.dst.Process("writer")
@@ -158,41 +161,33 @@ func TestPreCopyDataIntegrityUnderWrites(t *testing.T) {
 
 func TestPreCopyDowntimeBeatsPureCopy(t *testing.T) {
 	// Theimer's pitch: downtime shrinks versus stop-and-copy, while the
-	// total cost does not.
+	// total cost does not. Both downtimes come from the recorder's one
+	// freeze-to-resume rule.
 	downFor := func(pre bool) (time.Duration, uint64) {
 		tb := newTestbed(t)
+		rec := metrics.NewRecorder(time.Second)
+		tb.src.SetRecorder(rec)
+		tb.dst.SetRecorder(rec)
 		tb.writerProc(t, "job", 128, 16, 1000)
 		pr, _ := tb.src.Process("job")
 		tb.src.Start(pr)
-		var down time.Duration
 		tb.k.Go("driver", func(p *sim.Proc) {
 			p.Sleep(time.Second)
-			if pre {
-				rep, err := tb.srcM.PreCopyTo(p, "job", tb.dstM.Port.ID)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				down = rep.Downtime
-			} else {
+			opts := Options{Strategy: PreCopied}
+			if !pre {
 				tb.src.RequestPreempt(pr)
 				if !tb.src.WaitStopped(p, pr) {
 					t.Error("job finished early")
 					return
 				}
-				start := p.Now()
-				rep, err := tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, Options{
-					Strategy: PureCopy, WaitMigratePoint: true,
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				down = rep.InsertDoneAt - start
+				opts = Options{Strategy: PureCopy, WaitMigratePoint: true}
+			}
+			if _, err := tb.srcM.MigrateTo(p, "job", tb.dstM.Port.ID, opts); err != nil {
+				t.Error(err)
 			}
 		})
 		tb.k.RunUntil(20 * time.Minute)
-		return down, tb.link.Bytes()
+		return rec.Downtime(), tb.link.Bytes()
 	}
 	preDown, preBytes := downFor(true)
 	copyDown, copyBytes := downFor(false)
@@ -214,18 +209,14 @@ func TestPreCopyOnFinishedProcess(t *testing.T) {
 	tb.writerProc(t, "quick", 8, 2, 1)
 	pr, _ := tb.src.Process("quick")
 	tb.src.Start(pr)
-	var rep *PreCopyReport
 	var err error
 	tb.k.Go("driver", func(p *sim.Proc) {
 		p.Sleep(time.Minute) // long after the program ends
-		rep, err = tb.srcM.PreCopyTo(p, "quick", tb.dstM.Port.ID)
+		_, err = tb.srcM.MigrateTo(p, "quick", tb.dstM.Port.ID, Options{Strategy: PreCopied})
 	})
 	tb.k.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.ProcCompleted {
-		t.Error("report does not flag completion-before-migration")
+	if !errors.Is(err, ErrProcessFinished) {
+		t.Errorf("err = %v, want ErrProcessFinished", err)
 	}
 	if _, ok := tb.src.Process("quick"); !ok {
 		t.Error("finished process vanished from the source")

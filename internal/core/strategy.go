@@ -23,9 +23,9 @@ const (
 	// PureIOU passes IOUs for the whole RealMem portion; the local
 	// NetMsgServer caches the data and becomes its backer.
 	PureIOU
-	// PreCopied marks the final handoff of an iterative pre-copy
-	// migration (see Manager.PreCopyTo): the page contents are already
-	// staged at the destination, so the RIMAS carries structure only.
+	// PreCopied is Theimer's iterative pre-copy: MigrateTo stages the
+	// page contents at the destination while the process runs, so the
+	// final handoff's RIMAS carries structure only.
 	PreCopied
 )
 

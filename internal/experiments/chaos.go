@@ -90,8 +90,9 @@ type ChaosReport struct {
 }
 
 // chaosStrategies are the scenario strategies. PreCopied is excluded:
-// it cannot roll back (the source is already gone when the handshake
-// runs), so its faulted outcomes have no golden to compare against.
+// a failed PreCopied attempt cannot roll back (its pages were staged
+// at the destination, not kept at the source), so its faulted
+// outcomes have no golden to compare against.
 var chaosStrategies = []core.Strategy{core.PureCopy, core.PureIOU, core.ResidentSet}
 
 // goldenOpts are the recovery options every golden (fault-free) trial

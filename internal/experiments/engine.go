@@ -58,14 +58,12 @@ const (
 )
 
 // cacheEntry is a single-flight slot: the first requester computes, any
-// concurrent or later requester blocks on done and shares the result.
+// concurrent or later requester blocks on done and shares the result
+// (a *TrialResult, *HoldResult, ... as the key's variant dictates).
 type cacheEntry struct {
-	done  chan struct{}
-	tr    *TrialResult
-	hold  *HoldResult
-	res   *ResilienceOutcome
-	shard *ShardStressResult
-	err   error
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // NewEngine returns an engine with the given worker-pool width
@@ -173,34 +171,47 @@ func (e *Engine) lookup(key cacheKey) (*cacheEntry, bool) {
 	return ent, true
 }
 
+// memo returns the memoized result for key. The owner of a fresh slot
+// loads it from the disk cache (field selects the payload's slot for
+// T) or computes it with run and writes it behind; everyone else waits
+// for the owner and shares its result.
+func memo[T any](e *Engine, key cacheKey, field func(*memoPayload) **T, run func() (*T, error)) (*T, error) {
+	ent, owner := e.lookup(key)
+	if owner {
+		if p, ok := e.diskLoad(key); ok && *field(p) != nil {
+			ent.val = *field(p)
+			close(ent.done)
+		} else {
+			v, err := run()
+			ent.val, ent.err = v, err
+			close(ent.done)
+			if err == nil {
+				var p memoPayload
+				*field(&p) = v
+				e.diskStore(key, &p)
+			}
+		}
+	}
+	v, _ := ent.val.(*T)
+	return v, ent.err
+}
+
 // Trial returns the memoized result for one grid cell, simulating it on
 // this goroutine if no one has yet. Configs with a Sink installed run
 // uncached so their flight-recorder stream is always emitted.
 func (e *Engine) Trial(cfg Config, k workload.Kind, s core.Strategy, pf int) (*TrialResult, error) {
-	if cfg.Sink != nil {
-		return RunTrial(cfg, k, s, pf)
-	}
 	return e.trialFP(cfg.fingerprint(), cfg, k, s, pf)
 }
 
 // trialFP is Trial with the config fingerprint supplied by the caller,
 // so sweeps hash the config once instead of once per cell.
 func (e *Engine) trialFP(fp uint64, cfg Config, k workload.Kind, s core.Strategy, pf int) (*TrialResult, error) {
-	key := cacheKey{fp: fp, variant: variantGrid, GridKey: GridKey{k, s, pf}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Trial != nil {
-			ent.tr = p.Trial
-			close(ent.done)
-		} else {
-			ent.tr, ent.err = RunTrial(cfg, k, s, pf)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Trial: ent.tr})
-			}
-		}
+	run := func() (*TrialResult, error) { return RunTrial(cfg, k, s, pf) }
+	if cfg.Sink != nil {
+		return run()
 	}
-	return ent.tr, ent.err
+	key := cacheKey{fp: fp, variant: variantGrid, GridKey: GridKey{k, s, pf}}
+	return memo(e, key, func(p *memoPayload) **TrialResult { return &p.Trial }, run)
 }
 
 // HoldResult is what a held-at-destination migration trial measures:
@@ -243,55 +254,31 @@ func RunHoldTrial(cfg Config, k workload.Kind, strat core.Strategy) (*HoldResult
 
 // HoldTrial is the memoized form of RunHoldTrial.
 func (e *Engine) HoldTrial(cfg Config, k workload.Kind, s core.Strategy) (*HoldResult, error) {
-	if cfg.Sink != nil {
-		return RunHoldTrial(cfg, k, s)
-	}
 	return e.holdFP(cfg.fingerprint(), cfg, k, s)
 }
 
 // holdFP is HoldTrial with a caller-supplied config fingerprint.
 func (e *Engine) holdFP(fp uint64, cfg Config, k workload.Kind, s core.Strategy) (*HoldResult, error) {
-	key := cacheKey{fp: fp, variant: variantHold, GridKey: GridKey{k, s, 0}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Hold != nil {
-			ent.hold = p.Hold
-			close(ent.done)
-		} else {
-			ent.hold, ent.err = RunHoldTrial(cfg, k, s)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Hold: ent.hold})
-			}
-		}
+	run := func() (*HoldResult, error) { return RunHoldTrial(cfg, k, s) }
+	if cfg.Sink != nil {
+		return run()
 	}
-	return ent.hold, ent.err
+	key := cacheKey{fp: fp, variant: variantHold, GridKey: GridKey{k, s, 0}}
+	return memo(e, key, func(p *memoPayload) **HoldResult { return &p.Hold }, run)
 }
 
 // ResilienceTrial is the memoized form of RunResilienceTrial. The
 // trial options join the config in the cache key, so sweeps varying
 // retry budgets over one fault plan stay distinct.
 func (e *Engine) ResilienceTrial(cfg Config, k workload.Kind, s core.Strategy, ropts ResilienceOptions) (*ResilienceOutcome, error) {
+	run := func() (*ResilienceOutcome, error) { return RunResilienceTrial(cfg, k, s, ropts) }
 	if cfg.Sink != nil {
-		return RunResilienceTrial(cfg, k, s, ropts)
+		return run()
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%#v", cfg.fingerprint(), ropts)
 	key := cacheKey{fp: h.Sum64(), variant: variantResilience, GridKey: GridKey{k, s, 0}}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Res != nil {
-			ent.res = p.Res
-			close(ent.done)
-		} else {
-			ent.res, ent.err = RunResilienceTrial(cfg, k, s, ropts)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Res: ent.res})
-			}
-		}
-	}
-	return ent.res, ent.err
+	return memo(e, key, func(p *memoPayload) **ResilienceOutcome { return &p.Res }, run)
 }
 
 // ShardTrial is the memoized form of RunShardStress. Only the
@@ -308,20 +295,10 @@ func (e *Engine) ShardTrial(o ShardStressOptions) (*ShardStressResult, error) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "shardstress|%d|%#v", xrand.BaseSeed(), keyOpts)
 	key := cacheKey{fp: h.Sum64(), variant: variantShard}
-	ent, owner := e.lookup(key)
-	if owner {
-		if p, ok := e.diskLoad(key); ok && p.Shard != nil {
-			ent.shard = p.Shard
-			close(ent.done)
-		} else {
-			ent.shard, _, ent.err = RunShardStress(o)
-			close(ent.done)
-			if ent.err == nil {
-				e.diskStore(key, &memoPayload{Shard: ent.shard})
-			}
-		}
-	}
-	return ent.shard, ent.err
+	return memo(e, key, func(p *memoPayload) **ShardStressResult { return &p.Shard }, func() (*ShardStressResult, error) {
+		res, _, err := RunShardStress(o)
+		return res, err
+	})
 }
 
 // forParallel prepares a config for concurrent trials: a shared
@@ -379,34 +356,30 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Trials simulates the given grid cells concurrently (memoized) and
-// returns their results in key order. On error the first failure in key
-// order is reported.
-func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
-	cfg = cfg.forParallel(e.Workers())
-	out := make([]*TrialResult, len(keys))
-	errs := make([]error, len(keys))
-	if cfg.Sink != nil {
-		e.fanOut(len(keys), func(i int) {
-			out[i], errs[i] = e.Trial(cfg, keys[i].Kind, keys[i].Strategy, keys[i].Prefetch)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	fp := cfg.fingerprint() // hashed once for the whole sweep
-	e.fanOut(len(keys), func(i int) {
-		out[i], errs[i] = e.trialFP(fp, cfg, keys[i].Kind, keys[i].Strategy, keys[i].Prefetch)
-	})
+// collect runs fn(i) for i in [0, n) on the engine's worker pool and
+// returns the results in index order, or the first failure in index
+// order.
+func collect[T any](e *Engine, n int, fn func(i int) (*T, error)) ([]*T, error) {
+	out := make([]*T, n)
+	errs := make([]error, n)
+	e.fanOut(n, func(i int) { out[i], errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// Trials simulates the given grid cells concurrently (memoized) and
+// returns their results in key order. On error the first failure in key
+// order is reported.
+func (e *Engine) Trials(cfg Config, keys []GridKey) ([]*TrialResult, error) {
+	cfg = cfg.forParallel(e.Workers())
+	fp := cfg.fingerprint() // hashed once for the whole sweep
+	return collect(e, len(keys), func(i int) (*TrialResult, error) {
+		return e.trialFP(fp, cfg, keys[i].Kind, keys[i].Strategy, keys[i].Prefetch)
+	})
 }
 
 // holdPair addresses one held-at-destination trial.
@@ -419,29 +392,10 @@ type holdPair struct {
 // (memoized) and returns results in pair order.
 func (e *Engine) holdTrials(cfg Config, pairs []holdPair) ([]*HoldResult, error) {
 	cfg = cfg.forParallel(e.Workers())
-	out := make([]*HoldResult, len(pairs))
-	errs := make([]error, len(pairs))
-	if cfg.Sink != nil {
-		e.fanOut(len(pairs), func(i int) {
-			out[i], errs[i] = e.HoldTrial(cfg, pairs[i].kind, pairs[i].strat)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	fp := cfg.fingerprint() // hashed once for the whole sweep
-	e.fanOut(len(pairs), func(i int) {
-		out[i], errs[i] = e.holdFP(fp, cfg, pairs[i].kind, pairs[i].strat)
+	return collect(e, len(pairs), func(i int) (*HoldResult, error) {
+		return e.holdFP(fp, cfg, pairs[i].kind, pairs[i].strat)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // GridKeys enumerates the full paper grid for the given workloads in

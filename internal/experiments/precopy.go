@@ -65,75 +65,54 @@ func preCopyTestbed(cfg Config, pages, hot, bursts int) (*Testbed, error) {
 
 // PreCopyComparison contrasts the three downtime disciplines on a
 // 128-page writer: iterative pre-copy, stop-and-pure-copy, and
-// stop-and-IOU (copy-on-reference). Downtime for the IOU case ends at
+// stop-and-IOU (copy-on-reference). Every row reads its downtime from
+// the recorder's freeze-to-resume span, and its total from the
+// driver's start to the same resume. Downtime for the IOU case ends at
 // resume, but its cost continues across the remote lifetime — exactly
 // the structural difference §5 discusses.
 func PreCopyComparison(cfg Config) ([]PreCopyRow, error) {
 	var rows []PreCopyRow
-
-	// Iterative pre-copy.
-	tb, err := preCopyTestbed(cfg, 128, 16, 2000)
-	if err != nil {
-		return nil, err
-	}
-	var rep *core.PreCopyReport
-	var runErr error
-	tb.K.Go("driver", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		rep, runErr = tb.SrcMgr.PreCopyTo(p, "writer", tb.DstMgr.Port.ID)
-	})
-	tb.K.RunUntil(30 * time.Minute)
-	tb.K.Close()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if rep == nil || rep.ProcCompleted {
-		return nil, fmt.Errorf("experiments: pre-copy trial did not migrate")
-	}
-	rows = append(rows, PreCopyRow{
-		Label:    fmt.Sprintf("precopy(x%d)", len(rep.Rounds)),
-		Downtime: rep.Downtime,
-		Total:    rep.Total,
-		Bytes:    tb.Link.Bytes(),
-	})
-
-	// Stop-and-transfer under pure copy and pure IOU.
-	for _, strat := range []core.Strategy{core.PureCopy, core.PureIOU} {
+	for _, strat := range []core.Strategy{core.PreCopied, core.PureCopy, core.PureIOU} {
 		tb, err := preCopyTestbed(cfg, 128, 16, 2000)
 		if err != nil {
 			return nil, err
 		}
-		var down, total time.Duration
-		var stopErr error
+		var rep *core.Report
+		var start time.Duration
+		var runErr error
 		tb.K.Go("driver", func(p *sim.Proc) {
 			p.Sleep(time.Second)
-			start := p.Now()
-			pr, _ := tb.Src.Process("writer")
-			tb.Src.RequestPreempt(pr)
-			if !tb.Src.WaitStopped(p, pr) {
-				stopErr = fmt.Errorf("experiments: writer finished before stop")
-				return
+			start = p.Now()
+			opts := core.Options{Strategy: strat}
+			if strat != core.PreCopied {
+				// Stop-and-transfer: stop the writer, then move it.
+				pr, _ := tb.Src.Process("writer")
+				tb.Src.RequestPreempt(pr)
+				if !tb.Src.WaitStopped(p, pr) {
+					runErr = fmt.Errorf("experiments: writer finished before stop")
+					return
+				}
+				opts.WaitMigratePoint = true
 			}
-			downStart := p.Now()
-			r, err := tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, core.Options{
-				Strategy: strat, WaitMigratePoint: true,
-			})
-			if err != nil {
-				stopErr = err
-				return
-			}
-			down = r.InsertDoneAt - downStart
-			total = r.InsertDoneAt - start
+			rep, runErr = tb.SrcMgr.MigrateTo(p, "writer", tb.DstMgr.Port.ID, opts)
 		})
 		tb.K.RunUntil(30 * time.Minute)
 		tb.K.Close()
-		if stopErr != nil {
-			return nil, stopErr
+		if runErr != nil {
+			return nil, runErr
+		}
+		resume, resumed := tb.Rec.ResumeAt()
+		if rep == nil || !resumed {
+			return nil, fmt.Errorf("experiments: %v trial did not migrate", strat)
+		}
+		label := "stop+" + strat.String()
+		if strat == core.PreCopied {
+			label = fmt.Sprintf("precopy(x%d)", len(rep.PreCopyRounds))
 		}
 		rows = append(rows, PreCopyRow{
-			Label:    "stop+" + strat.String(),
-			Downtime: down,
-			Total:    total,
+			Label:    label,
+			Downtime: tb.Rec.Downtime(),
+			Total:    resume - start,
 			Bytes:    tb.Link.Bytes(),
 		})
 	}

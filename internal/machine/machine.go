@@ -359,7 +359,7 @@ func (m *Machine) exec(p *sim.Proc, pr *Process) error {
 	if pr.PC > 0 {
 		// Resuming a saved context: the first instruction after a
 		// migration insert (or a rollback) runs now. This instant closes
-		// the downtime span that opened at excise-freeze.
+		// the downtime span that core.Manager.freeze opened.
 		pr.ResumedAt = p.Now()
 		if m.rec != nil {
 			m.rec.MarkResume(p.Now())

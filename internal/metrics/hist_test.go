@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -184,52 +183,5 @@ func TestReopenedPhase(t *testing.T) {
 	}
 	if phs := r.Phases(); len(phs) != 2 {
 		t.Errorf("ghost phase missing from Phases(): %+v", phs)
-	}
-}
-
-// TestSyncRecorderConcurrent exercises SyncRecorder from many
-// goroutines; run with -race to verify the locking.
-func TestSyncRecorderConcurrent(t *testing.T) {
-	s := NewSyncRecorder(time.Second)
-	const workers = 8
-	const each = 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				s.Observe("lat", time.Duration(i+1)*time.Microsecond)
-				s.AddBytes(time.Duration(i)*time.Millisecond, 10, i%2 == 0)
-				s.AddMessage(time.Microsecond)
-				s.Inc("n", 1)
-				if i%100 == 0 {
-					_ = s.Dist("lat")
-					_ = s.Series()
-					_ = s.PeakRate()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Counter("n"); got != workers*each {
-		t.Errorf("counter = %d, want %d", got, workers*each)
-	}
-	d := s.Dist("lat")
-	if d.Count != workers*each {
-		t.Errorf("dist count = %d, want %d", d.Count, workers*each)
-	}
-	if d.Quantile(0.5) <= 0 {
-		t.Errorf("median = %v", d.Quantile(0.5))
-	}
-	if got := s.Messages(); got != workers*each {
-		t.Errorf("messages = %d", got)
-	}
-	// The snapshot copy must be isolated from further recording.
-	snap := s.Dist("lat")
-	before := snap.Count
-	s.Observe("lat", time.Second)
-	if snap.Count != before {
-		t.Error("Dist snapshot shares state with the live recorder")
 	}
 }

@@ -20,10 +20,9 @@ import (
 // Recorder is single-goroutine by design: the simulation kernel runs
 // exactly one Proc at a time (see package sim), so every producer —
 // pager, link, NetMsgServer, migration manager — records from what is
-// effectively one thread of control, and Recorder uses no locks. Code
-// that records from multiple OS goroutines concurrently (e.g. trials
-// running on separate kernels feeding one aggregate) must wrap it in a
-// SyncRecorder instead.
+// effectively one thread of control, and Recorder uses no locks.
+// Concurrent trials each own their recorder (one per testbed), so no
+// recorder is ever shared across OS goroutines.
 type Recorder struct {
 	bucket  time.Duration
 	buckets map[int64]*rateBucket
@@ -40,8 +39,8 @@ type Recorder struct {
 	dists    map[string]*Distribution
 
 	// Downtime accounting: the frozen interval of the most recent
-	// migration, from excise-freeze (MarkFreeze) to the first
-	// post-insert instruction (MarkResume). Plain field writes — the
+	// migration, from its first freeze (MarkFreeze) to the first
+	// instruction after it (MarkResume). Plain field writes — the
 	// emission gate is the caller's nil-recorder check, so an
 	// uninstrumented run allocates nothing.
 	freezeAt time.Duration
@@ -311,6 +310,15 @@ func (r *Recorder) Downtime() time.Duration {
 // FreezeAt reports the last recorded freeze instant and whether one
 // was recorded at all.
 func (r *Recorder) FreezeAt() (time.Duration, bool) { return r.freezeAt, r.frozen }
+
+// ResumeAt reports the instant that closed the last frozen interval,
+// or false while no freeze has been followed by a resume.
+func (r *Recorder) ResumeAt() (time.Duration, bool) {
+	if !r.frozen || !r.resumed {
+		return 0, false
+	}
+	return r.resumeAt, true
+}
 
 // StartPhase opens (or reopens) a named phase at time at.
 func (r *Recorder) StartPhase(name string, at time.Duration) {

@@ -15,9 +15,12 @@
 //     (wire, destination CPU, source CPU, disk, queue wait, other) by
 //     priority among the spans active at that instant. The attribution
 //     is an exact partition, so blame fractions sum to 1.
-//   - the downtime span: excise-freeze to the first post-insert
-//     instruction at the destination (the StateChange "Resumed" event),
-//     the metric every pre-copy/cluster/dedup follow-up is judged on.
+//   - the downtime span, the metric every pre-copy/cluster/dedup
+//     follow-up is judged on. The builder does not infer it from the
+//     phases: it replays the stream's "Frozen" and "Resumed" state
+//     changes through a metrics.Recorder, so the profiler and the
+//     recorder share one rule (first freeze to the first instruction
+//     after it, however many attempts lie between).
 //   - per-resource utilization timelines: time-bucketed busy and
 //     queue-depth gauges for each CPU, link, and disk arm, accumulated
 //     into a metrics.Utilization.
@@ -195,11 +198,10 @@ type Profile struct {
 	// order (missing phases are absent).
 	Phases []Phase
 
-	// Freeze is the excise start; InsertEnd the insertion completion;
-	// Resume the first post-insert instruction at the destination.
-	// Resumed reports whether a resume was observed (a held destination
-	// never resumes; Resume then equals InsertEnd and Downtime is the
-	// frozen-so-far lower bound).
+	// Freeze is the first freeze of the migration; InsertEnd the
+	// insertion completion; Resume the first instruction after the
+	// freeze. Resumed reports whether a resume was observed (a held
+	// destination never resumes; Resume and Downtime are then zero).
 	Freeze    time.Duration
 	InsertEnd time.Duration
 	Resume    time.Duration
@@ -293,7 +295,7 @@ func Build(events []obs.Event) (*Profile, error) {
 	phases := make(map[string]Phase)        // name -> last closed span
 	faultOpen := make(map[faultKey]obs.Event)
 	msgs := make(map[uint64]*msgSite)
-	var resumes []time.Duration
+	frozen := metrics.NewRecorder(utilBucket)
 
 	for _, ev := range evs {
 		switch ev.Kind {
@@ -345,8 +347,11 @@ func Build(events []obs.Event) (*Profile, error) {
 				}
 			}
 		case obs.StateChange:
-			if ev.Name == "Resumed" && ev.Machine == dstMachine {
-				resumes = append(resumes, ev.T)
+			switch ev.Name {
+			case "Frozen":
+				frozen.MarkFreeze(ev.T)
+			case "Resumed":
+				frozen.MarkResume(ev.T)
 			}
 		case obs.ResourceHold:
 			if cl, ok := classifyHold(ev); ok && ev.Dur > 0 {
@@ -382,39 +387,23 @@ func Build(events []obs.Event) (*Profile, error) {
 		}
 	}
 
-	// Canonical phases in canonical order; the migration window.
+	// Canonical phases in canonical order (a retried phase's last
+	// closed span wins); the migration window.
 	for _, name := range MigrationPhases {
 		if ph, ok := phases[name]; ok {
 			pf.Phases = append(pf.Phases, ph)
 		}
 	}
 	if len(pf.Phases) > 0 {
-		if ph, ok := phases["excise"]; ok {
-			pf.Freeze = ph.Start
-		} else {
-			pf.Freeze = pf.Phases[0].Start
-		}
 		if ph, ok := phases["insert"]; ok {
 			pf.InsertEnd = ph.End
 		} else {
 			pf.InsertEnd = pf.Phases[len(pf.Phases)-1].End
 		}
 	}
-
-	// Downtime: freeze to the first destination resume at or after the
-	// freeze. A run that never resumed (held destination) reports the
-	// frozen-so-far interval, which is the downtime's lower bound.
-	pf.Resume = pf.InsertEnd
-	for _, t := range resumes {
-		if t >= pf.Freeze {
-			pf.Resume = t
-			pf.Resumed = true
-			break
-		}
-	}
-	if pf.Resume > pf.Freeze {
-		pf.Downtime = pf.Resume - pf.Freeze
-	}
+	pf.Freeze, _ = frozen.FreezeAt()
+	pf.Resume, pf.Resumed = frozen.ResumeAt()
+	pf.Downtime = frozen.Downtime()
 
 	// Blame: exact partitions of the migration window and each phase.
 	pf.Blame = partition(pf.Spans, pf.Freeze, pf.InsertEnd)
@@ -511,12 +500,12 @@ func (pf *Profile) Format() string {
 	for _, c := range Classes() {
 		fmt.Fprintf(&b, " %s %.2fs (%.1f%%)", c, pf.Blame[c].Seconds(), 100*pf.Blame.Fraction(c))
 	}
-	resumed := "first instruction at destination"
 	if !pf.Resumed {
-		resumed = "never resumed; lower bound"
+		fmt.Fprintf(&b, "\ndowntime: never resumed (freeze %.2fs)\n", pf.Freeze.Seconds())
+		return b.String()
 	}
-	fmt.Fprintf(&b, "\ndowntime: %.2fs (freeze %.2fs -> resume %.2fs, %s)\n",
-		pf.Downtime.Seconds(), pf.Freeze.Seconds(), pf.Resume.Seconds(), resumed)
+	fmt.Fprintf(&b, "\ndowntime: %.2fs (freeze %.2fs -> resume %.2fs, first instruction at destination)\n",
+		pf.Downtime.Seconds(), pf.Freeze.Seconds(), pf.Resume.Seconds())
 	return b.String()
 }
 

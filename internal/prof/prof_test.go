@@ -22,7 +22,8 @@ func phasePair(seq *uint64, machine, name string, start, end time.Duration) []ob
 // syntheticMigration builds a minimal but complete event stream:
 // the four canonical phases (excise 0-2s, xfer.core 2-5s, xfer.rimas
 // 5-9s, insert 9-10s), resource holds and wire spans covering parts of
-// the window, a message pair, a fault pair, and a destination resume.
+// the window, a message pair, a fault pair, and the freeze and
+// destination resume that bound the downtime.
 func syntheticMigration() []obs.Event {
 	var seq uint64
 	var evs []obs.Event
@@ -47,6 +48,7 @@ func syntheticMigration() []obs.Event {
 	add(obs.Event{Kind: obs.QueueWait, Machine: "dst", Name: "dst.cpu", Dur: s, T: 9 * s})
 	add(obs.Event{Kind: obs.ResourceHold, Machine: "dst", Name: "dst.cpu", Dur: s, T: 10 * s})
 
+	add(obs.Event{Kind: obs.StateChange, Machine: "src", Proc: "p", Name: "Frozen", T: 0})
 	add(obs.Event{Kind: obs.MsgSend, Machine: "src", Op: 42, MsgID: 7, T: 2 * s})
 	add(obs.Event{Kind: obs.MsgRecv, Machine: "dst", Op: 42, MsgID: 7, T: 5 * s})
 	add(obs.Event{Kind: obs.FaultStart, Machine: "dst", Proc: "p", Name: "imag", Addr: 0x1000, T: 6 * s})
@@ -143,19 +145,33 @@ func TestBuildSyntheticMigration(t *testing.T) {
 func TestBuildPhaseRetryLastWins(t *testing.T) {
 	var seq uint64
 	var evs []obs.Event
+	frozen := func(at time.Duration) {
+		evs = append(evs, obs.Event{Kind: obs.StateChange, Machine: "src", Proc: "p", Name: "Frozen", T: at, Seq: seq})
+		seq++
+	}
 	// A failed first attempt followed by a full retry: the retry's
-	// spans must win.
+	// phase spans must win, but the process stayed frozen from the
+	// first attempt's freeze, so the window and the downtime open there.
+	frozen(0)
 	evs = append(evs, phasePair(&seq, "src", "excise", 0, s)...)
+	frozen(5 * s)
 	evs = append(evs, phasePair(&seq, "src", "excise", 5*s, 6*s)...)
 	evs = append(evs, phasePair(&seq, "src", "xfer.core", 6*s, 7*s)...)
 	evs = append(evs, phasePair(&seq, "src", "xfer.rimas", 7*s, 8*s)...)
 	evs = append(evs, phasePair(&seq, "src", "insert", 8*s, 9*s)...)
+	evs = append(evs, obs.Event{Kind: obs.StateChange, Machine: "dst", Proc: "p", Name: "Resumed", T: 9 * s, Seq: seq})
 	pf, err := Build(evs)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if pf.Freeze != 5*s || pf.InsertEnd != 9*s {
-		t.Fatalf("window [%v, %v], want [5s, 9s]", pf.Freeze, pf.InsertEnd)
+	if pf.Freeze != 0 || pf.InsertEnd != 9*s {
+		t.Fatalf("window [%v, %v], want [0, 9s]", pf.Freeze, pf.InsertEnd)
+	}
+	if ex := pf.Phases[0]; ex.Name != "excise" || ex.Start != 5*s || ex.End != 6*s {
+		t.Fatalf("excise span %+v, want the retry's [5s, 6s]", ex)
+	}
+	if !pf.Resumed || pf.Downtime != 9*s {
+		t.Fatalf("Downtime = %v (resumed=%v), want 9s true", pf.Downtime, pf.Resumed)
 	}
 	if !pf.Connected() {
 		t.Fatalf("retry migration should still be connected")
