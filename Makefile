@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity report bench clean
+.PHONY: all build test race vet fmtcheck check faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity report bench clean
 
 all: build
 
@@ -16,9 +16,15 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the
+# tree; any file name it lists fails the check.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmtcheck: gofmt -l . lists:"; echo "$$out"; exit 1; fi
+	@echo "fmtcheck: gofmt -l . lists nothing"
+
 # Every gate below runs its go test unpiped: a pipe would hand make the
 # exit status of the last command in it, so a failing test would pass.
-check: build vet test race faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity
+check: build vet fmtcheck test race faultcheck benchsmoke pipelinesmoke profsmoke dedupsmoke chaossmoke cachesmoke shardsmoke leakcheck identity
 
 # Fault-injection determinism gate: the resilience experiment — lossy
 # sweeps, crashes, a partition — must be byte-identical across two

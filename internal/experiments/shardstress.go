@@ -168,6 +168,7 @@ type ShardStressPerf struct {
 	Workers      int
 	Wall         time.Duration
 	Events       uint64
+	SleepsElided uint64 // Sleep wake-ups taken in place, not dispatched
 	EventsPerSec float64
 	Windows      uint64
 	CrossEvents  uint64
@@ -629,6 +630,7 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 	if sharded {
 		perf.Workers = o.Shards
 		perf.Events = cl.EventsRun()
+		perf.SleepsElided = cl.SleepsElided()
 		st := cl.Stats()
 		perf.Windows = st.Windows
 		perf.CrossEvents = st.CrossEvents
@@ -636,6 +638,7 @@ func RunShardStress(o ShardStressOptions) (*ShardStressResult, *ShardStressPerf,
 		perf.LaneWall = st.LaneWall
 	} else {
 		perf.Events = kernels[0].EventsRun()
+		perf.SleepsElided = kernels[0].SleepsElided()
 	}
 	if wall > 0 {
 		perf.EventsPerSec = float64(perf.Events) / wall.Seconds()
@@ -712,10 +715,10 @@ func ShardStress(e *Engine, shards int) (string, error) {
 	}
 	identical := shardResultsEqual(seqRes, shRes)
 	fmt.Fprintf(&b, "\nExecution modes at %d machines (host-measured, varies run to run):\n", seqRes.Machines)
-	fmt.Fprintf(&b, "  sequential kernel: %8.0f events/s (%d events, wall %v)\n",
-		seqPerf.EventsPerSec, seqPerf.Events, seqPerf.Wall.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  %d-worker lanes:    %8.0f events/s (%d events, wall %v, %d windows, %d cross events, barrier stall %.1f%%)\n",
-		shPerf.Workers, shPerf.EventsPerSec, shPerf.Events, shPerf.Wall.Round(time.Millisecond),
+	fmt.Fprintf(&b, "  sequential kernel: %8.0f events/s (%d events, %d sleeps elided, wall %v)\n",
+		seqPerf.EventsPerSec, seqPerf.Events, seqPerf.SleepsElided, seqPerf.Wall.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  %d-worker lanes:    %8.0f events/s (%d events, %d sleeps elided, wall %v, %d windows, %d cross events, barrier stall %.1f%%)\n",
+		shPerf.Workers, shPerf.EventsPerSec, shPerf.Events, shPerf.SleepsElided, shPerf.Wall.Round(time.Millisecond),
 		shPerf.Windows, shPerf.CrossEvents, shPerf.StallPct)
 	fmt.Fprintf(&b, "  sharded result byte-identical to sequential: %v\n", identical)
 	if !identical {

@@ -41,6 +41,29 @@ func TestShardStressDeterminism(t *testing.T) {
 	}
 }
 
+// TestShardStressWakeUpsMatch: lanes dispatch fewer events than the
+// sequential kernel because a lane's heap holds only its own machine's
+// events, so more Sleep calls find nothing due before their wake time
+// and take the same-instant fast path. Every such elided sleep is one
+// wake-up event the sequential kernel dispatches instead, so events
+// plus elided sleeps must agree exactly: the event gap is explained.
+func TestShardStressWakeUpsMatch(t *testing.T) {
+	o := ShardStressOptions{Machines: 16}
+	_, seq, err := RunShardStress(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Shards = 2
+	_, sh, err := RunShardStress(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := seq.Events+seq.SleepsElided, sh.Events+sh.SleepsElided; a != b {
+		t.Errorf("events+elided sleeps: sequential %d+%d = %d, 2 lanes %d+%d = %d",
+			seq.Events, seq.SleepsElided, a, sh.Events, sh.SleepsElided, b)
+	}
+}
+
 // TestShardStressInvariants checks the scenario's conservation laws on
 // the sequential run: every spawned process finishes somewhere, every
 // accepted migration either completes or is cancelled, and the load is

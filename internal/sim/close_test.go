@@ -78,6 +78,27 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 			run: func(k *Kernel) { k.RunUntil(time.Second) },
 		},
 		{
+			// The deadline falls while a proc runs the event loop, in
+			// the middle of a producer/consumer exchange.
+			name: "deadline-mid-handoff", procs: 2, launch: true,
+			build: func(k *Kernel, body func(*Proc, func())) {
+				q := NewQueue[int](k)
+				k.Go("producer", func(p *Proc) {
+					body(p, func() {
+						q.Push(0)
+						p.Sleep(time.Hour)
+					})
+				})
+				k.Go("consumer", func(p *Proc) {
+					body(p, func() {
+						q.Pop(p)
+						q.Pop(p)
+					})
+				})
+			},
+			run: func(k *Kernel) { k.RunUntil(time.Second) },
+		},
+		{
 			name: "never-launched", procs: 1, launch: false,
 			build: func(k *Kernel, body func(*Proc, func())) {
 				k.Go("unstarted", func(p *Proc) { body(p, func() {}) })

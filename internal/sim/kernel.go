@@ -11,6 +11,16 @@
 // Events at the same virtual time fire in scheduling order (FIFO), which
 // makes every run of a simulation bit-for-bit reproducible.
 //
+// The event loop runs on whichever goroutine holds the baton: the one
+// blocked in Run, or the proc goroutine that last parked or finished.
+// A proc that parks does not hand control back to Run's caller; it
+// dispatches the following events itself, running callbacks inline,
+// until an event wakes a proc. If that is the proc that parked, it
+// simply carries on; otherwise the baton passes to the woken proc with
+// a single channel send. Only when the run ends does the baton return
+// to the goroutine blocked in Run. Each proc resume therefore costs at
+// most one goroutine switch.
+//
 // A Kernel and everything scheduled on it belong to one goroutine (plus
 // the proc goroutines it interleaves); kernels are cheap, so concurrent
 // simulations each get their own Kernel rather than sharing one.
@@ -32,16 +42,32 @@ type Kernel struct {
 	events eventHeap
 	nowq   nowRing // zero-delay events for the current instant
 
-	// yield is the rendezvous on which the currently running Proc hands
-	// control back to the kernel. Only one Proc runs at a time, so a
-	// single unbuffered channel suffices.
-	yield chan struct{}
+	// back returns the baton to the goroutine blocked in Run (or in
+	// Close) once the run ends on a proc goroutine. Only one goroutine
+	// holds the baton at a time, so a single unbuffered channel
+	// suffices.
+	back chan struct{}
+
+	// leave makes the dispatch loop return after the current event. An
+	// event that resumes or starts a proc sets it together with wake,
+	// the proc to pass the baton to; without a wake it ends the run:
+	// Stop, a fault, and Close (no run in progress) set it so. Sharing
+	// the one flag the loop tests anyway keeps callback-only dispatch
+	// at a single check per event. While a proc runs, leave is set only
+	// by a pending Stop.
+	leave bool
+	wake  *Proc
+
+	// fault is a panic caught on a proc goroutine, from a proc body or
+	// from a callback dispatched there; Run re-raises it on its
+	// caller's goroutine.
+	fault any
 
 	cur      *Proc // proc currently executing, nil in callback context
 	live     int   // procs started and not yet finished
 	procs    *Proc // head of the intrusive list of unfinished procs
 	ran      uint64
-	stopped  bool
+	elided   uint64 // sleeps that took the same-instant fast path
 	deadline time.Duration
 	hasDL    bool
 
@@ -52,7 +78,7 @@ type Kernel struct {
 
 // New returns an empty kernel with the clock at zero.
 func New() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{back: make(chan struct{})}
 }
 
 // Now reports the current virtual time.
@@ -61,8 +87,15 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // EventsRun reports how many events have been dispatched so far. It is
 // useful in tests as a cheap progress/forward-motion check. Sleeps that
 // take the same-instant fast path (see Proc.Sleep) advance the clock
-// without dispatching an event, so this undercounts wake-ups.
+// without dispatching an event, so this undercounts wake-ups by
+// SleepsElided.
 func (k *Kernel) EventsRun() uint64 { return k.ran }
+
+// SleepsElided reports how many Proc.Sleep calls took the same-instant
+// fast path, waking in place instead of through a dispatched event.
+// EventsRun plus SleepsElided counts every wake-up, so it is the same
+// for a simulation however its procs' sleeps happened to be elided.
+func (k *Kernel) SleepsElided() uint64 { return k.elided }
 
 // SetSink installs (or with nil removes) the flight-recorder sink.
 // Every emission point in the simulation stack is guarded by Tracing,
@@ -141,20 +174,37 @@ func (k *Kernel) ScheduleAt(t time.Duration, fn func()) {
 	k.Schedule(t-k.now, fn)
 }
 
-// Stop makes Run return after the currently dispatching event completes.
-func (k *Kernel) Stop() { k.stopped = true }
+// Stop makes Run return after the currently dispatching event completes
+// or, when called from a proc, once that proc parks or finishes.
+func (k *Kernel) Stop() { k.leave = true }
 
 // Run dispatches events until the event heap is empty, the deadline set
 // by RunUntil is reached, or Stop is called. It returns the virtual time
 // at which it stopped. Procs that are still blocked when the heap drains
 // stay parked — an idle operating system, whose servers wait for
 // requests that will never come — until Close unwinds them.
+//
+// The first event that wakes a proc takes the baton (see the package
+// comment) off the calling goroutine, which then waits for the run to
+// end. A panic on a proc goroutine, from a proc body or a callback
+// dispatched there, ends the run and is re-raised here.
 func (k *Kernel) Run() time.Duration {
 	if k.cur != nil {
 		panic("sim: Run called from proc context")
 	}
-	k.stopped = false
-	for !k.stopped {
+	k.leave = false
+	if p := k.dispatch(); p != nil {
+		k.pass(p)
+		k.wait()
+	}
+	return k.now
+}
+
+// dispatch runs events on the calling goroutine, which holds the baton,
+// until one wakes a proc, which it returns, or the run ends, when it
+// returns nil.
+func (k *Kernel) dispatch() *Proc {
+	for !k.leave {
 		// Heap entries already due fire before the now-ring: they were
 		// scheduled before the clock reached this instant, so they are
 		// earlier in FIFO order than any ring entry (see Schedule).
@@ -175,16 +225,78 @@ func (k *Kernel) Run() time.Duration {
 		if k.hasDL && k.events.h[0].at > k.deadline {
 			// Leave it queued; a later RunUntil may want it.
 			k.now = k.deadline
-			k.hasDL = false
-			return k.now
+			break
 		}
 		e := k.events.pop()
 		k.now = e.at
 		k.ran++
 		e.fn()
 	}
+	if p := k.wake; p != nil {
+		k.wake = nil
+		k.leave = false
+		return p
+	}
 	k.hasDL = false
-	return k.now
+	return nil
+}
+
+// pass hands the baton to p: it starts p's goroutine on first launch,
+// or resumes it where it parked.
+func (k *Kernel) pass(p *Proc) {
+	if p.launched {
+		p.resume <- struct{}{}
+		return
+	}
+	p.launched = true
+	go p.run()
+}
+
+// switchFrom is called on the goroutine holding the baton when its
+// proc, self, parks — or, with self nil, finishes. It dispatches events
+// until one wakes a proc and passes the baton there; once the run has
+// ended the baton goes back to the goroutine waiting in Run or Close.
+// It reports whether self is the proc woken, in which case the caller
+// simply carries on.
+func (k *Kernel) switchFrom(self *Proc) bool {
+	switch next := k.dispatchOnProc(); next {
+	case nil:
+		k.back <- struct{}{}
+	case self:
+		return true
+	default:
+		k.pass(next)
+	}
+	return false
+}
+
+// dispatchOnProc is dispatch on a proc goroutine. A callback that
+// panics there must not unwind the proc's own body, so the panic ends
+// the run as its fault, which Run re-raises on its caller's goroutine.
+func (k *Kernel) dispatchOnProc() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.fail(r)
+			next = nil
+		}
+	}()
+	return k.dispatch()
+}
+
+// fail records r as the fault that ends the current run.
+func (k *Kernel) fail(r any) {
+	k.fault = r
+	k.leave = true
+}
+
+// wait blocks the goroutine in Run or Close until the baton comes back,
+// then re-raises the fault, if any, that ended the run.
+func (k *Kernel) wait() {
+	<-k.back
+	if r := k.fault; r != nil {
+		k.fault = nil
+		panic(r)
+	}
 }
 
 // RunUntil dispatches events with timestamps up to and including t and
@@ -243,12 +355,16 @@ func (k *Kernel) Close() {
 	if k.cur != nil {
 		panic("sim: Close called from proc context")
 	}
+	// No run is in progress, so each unwinding proc must hand the baton
+	// straight back here instead of dispatching.
+	k.leave = true
 	// Unwinding runs deferred calls, which may start procs of their
 	// own; those are linked at the head and finished in turn.
 	for p := k.procs; p != nil; p = k.procs {
 		p.killed = true
 		if p.launched {
-			p.unpark()
+			p.resume <- struct{}{}
+			k.wait()
 		} else {
 			p.finish()
 		}

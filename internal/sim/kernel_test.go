@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -119,6 +122,131 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// TestStopFromProc: a proc's Stop ends the run when that proc parks,
+// with no later event dispatched, and a second Run carries on.
+func TestStopFromProc(t *testing.T) {
+	k := New()
+	var log []string
+	k.Go("stopper", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		k.Stop()
+		log = append(log, "stop")
+		p.Sleep(time.Millisecond)
+		log = append(log, "resumed")
+	})
+	k.Schedule(500*time.Microsecond, func() { log = append(log, "early") })
+	k.Schedule(time.Millisecond+time.Microsecond, func() { log = append(log, "late") })
+	if end := k.Run(); end != time.Millisecond {
+		t.Errorf("Run stopped at %v, want 1ms", end)
+	}
+	if want := []string{"early", "stop"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("after Stop: log = %v, want %v", log, want)
+	}
+	k.Run()
+	if want := []string{"early", "stop", "late", "resumed"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("after second Run: log = %v, want %v", log, want)
+	}
+}
+
+// TestRunUntilDeadlineMidHandoff: the deadline is reached while a proc
+// holds the event loop, in the middle of a producer/consumer exchange.
+// RunUntil must stop at the deadline with both procs parked, and a
+// second Run must finish the exchange in the same order a single Run
+// would.
+func TestRunUntilDeadlineMidHandoff(t *testing.T) {
+	run := func(split bool) []string {
+		k := New()
+		q := NewQueue[int](k)
+		var log []string
+		k.Go("producer", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				q.Push(i)
+				p.Sleep(time.Second)
+			}
+		})
+		k.Go("consumer", func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				v := q.Pop(p)
+				log = append(log, fmt.Sprintf("%d@%v", v, p.Now()))
+			}
+		})
+		if split {
+			k.RunUntil(1500 * time.Millisecond)
+			if k.Now() != 1500*time.Millisecond || k.LiveProcs() != 2 || len(log) != 2 {
+				t.Errorf("at the deadline: clock %v, %d live procs, log %v; want 1.5s, 2, two items", k.Now(), k.LiveProcs(), log)
+			}
+		}
+		k.Run()
+		if k.LiveProcs() != 0 {
+			t.Errorf("split=%v: %d procs live after the final Run, want 0", split, k.LiveProcs())
+		}
+		return log
+	}
+	whole, split := run(false), run(true)
+	if want := []string{"0@0s", "1@1s", "2@2s"}; !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(split, want) {
+		t.Errorf("log = %v (one Run), %v (RunUntil then Run); want %v", whole, split, want)
+	}
+}
+
+// TestKillFromProcUnwindsAtOnce: a proc that kills a parked proc keeps
+// running; the victim unwinds — its deferred call running exactly
+// once — at the kill instant, before the killer's next wake-up.
+func TestKillFromProcUnwindsAtOnce(t *testing.T) {
+	k := New()
+	q := NewQueue[int](k)
+	var log []string
+	victim := k.Go("victim", func(p *Proc) {
+		defer func() { log = append(log, fmt.Sprintf("unwound@%v", p.Now())) }()
+		q.Pop(p)
+		log = append(log, "popped")
+	})
+	k.Go("killer", func(p *Proc) {
+		p.Sleep(time.Second)
+		victim.Kill()
+		log = append(log, "killed")
+		p.Sleep(time.Second)
+		log = append(log, fmt.Sprintf("killer@%v", p.Now()))
+	})
+	k.Run()
+	if want := []string{"killed", "unwound@1s", "killer@2s"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("log = %v, want %v", log, want)
+	}
+	if !victim.Done() || k.LiveProcs() != 0 {
+		t.Errorf("victim done %v, LiveProcs %d; want true, 0", victim.Done(), k.LiveProcs())
+	}
+}
+
+// TestProcPanicReachesRun: a panicking proc body must surface from Run
+// on the caller's goroutine, carrying the original value and the
+// proc's name, and leave a kernel that Close still tears down.
+func TestProcPanicReachesRun(t *testing.T) {
+	k := New()
+	q := NewQueue[int](k)
+	k.Go("server", func(p *Proc) { q.Pop(p) })
+	k.Go("bad", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			r := recover()
+			pp, ok := r.(procPanic)
+			if !ok || pp.proc != "bad" || pp.val != "boom" {
+				t.Fatalf("recovered %#v, want procPanic from proc \"bad\" with value boom", r)
+			}
+			if !strings.Contains(pp.Error(), `sim: proc "bad" panicked: boom`) {
+				t.Errorf("message %q lacks the proc name and value", pp.Error())
+			}
+		}()
+		k.Run()
+		t.Fatal("Run returned normally")
+	}()
+	k.Close()
+	if k.LiveProcs() != 0 {
+		t.Errorf("LiveProcs after Close = %d, want 0", k.LiveProcs())
+	}
+}
+
 func TestScheduleAtPastPanics(t *testing.T) {
 	k := New()
 	k.Schedule(time.Second, func() {})
@@ -211,14 +339,20 @@ func BenchmarkKernelEvents(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSwitch measures coroutine context-switch cost.
+// BenchmarkProcSwitch measures the proc-to-proc hand-off: two procs
+// yield in turn, so every Yield parks one and resumes the other. (A
+// lone proc's Yield takes the Sleep fast path and switches nothing.)
+// One op is one hand-off.
 func BenchmarkProcSwitch(b *testing.B) {
 	k := New()
-	k.Go("switcher", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Yield()
-		}
-	})
+	for first := 0; first < 2; first++ {
+		first := first
+		k.Go("switcher", func(p *Proc) {
+			for i := first; i < b.N; i += 2 {
+				p.Yield()
+			}
+		})
+	}
 	b.ResetTimer()
 	k.Run()
 }

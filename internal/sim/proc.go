@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"time"
 )
 
@@ -9,14 +10,19 @@ import (
 // goroutine, but the kernel guarantees that at most one proc goroutine
 // executes at any real instant: a proc runs until it blocks on a kernel
 // primitive (Sleep, Queue.Pop, Resource.Acquire, ...) and only then does
-// the kernel dispatch the next event. This gives straight-line,
-// blocking-style OS code with fully deterministic interleaving.
+// the kernel dispatch the next event — on the same goroutine, until an
+// event wakes a proc (see the package comment). This gives
+// straight-line, blocking-style OS code with fully deterministic
+// interleaving.
 type Proc struct {
 	k      *Kernel
 	name   string
 	resume chan struct{}
 	killed bool
 	done   bool
+
+	// body is the function the goroutine runs, held until launch.
+	body func(p *Proc)
 
 	// launched is set once the start event has spun up the goroutine.
 	launched bool
@@ -35,6 +41,19 @@ type Proc struct {
 // proc has been killed while parked.
 type killSignal struct{ p *Proc }
 
+// procPanic carries a panic out of a proc body to Run's caller, which
+// re-raises it on another goroutine: it keeps the original value, the
+// proc's name and the stack where the body panicked.
+type procPanic struct {
+	proc  string
+	val   any
+	stack []byte
+}
+
+func (e procPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", e.proc, e.val, e.stack)
+}
+
 // Go starts fn as a new simulated process at the current virtual time.
 // The returned Proc may be used immediately (e.g. passed to Kill), but
 // fn itself begins executing when the start event is dispatched.
@@ -42,41 +61,32 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Go with nil function")
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, resume: make(chan struct{}), body: fn}
 	p.unparkFn = p.unpark
 	k.link(p)
-	k.Schedule(0, func() { p.launch(fn) })
+	k.Schedule(0, p.unparkFn)
 	return p
 }
 
-// launch runs in kernel context: it spins up the proc goroutine and
-// waits for it to park or finish before returning to the event loop.
-func (p *Proc) launch(fn func(p *Proc)) {
-	if p.killed {
-		p.finish()
-		return
-	}
-	p.launched = true
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if ks, ok := r.(killSignal); ok && ks.p == p {
-					// Normal unwind of a killed proc.
-				} else {
-					// Re-panic on the kernel side so the failure
-					// surfaces with this goroutine's stack attached.
-					p.finish()
-					panic(r)
-				}
+// run is the proc goroutine, started when the baton first passes to p.
+// Once the body returns, is killed, or panics, the goroutine dispatches
+// on until it can pass the baton on, and exits.
+func (p *Proc) run() {
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil {
+			if ks, ok := r.(killSignal); !ok || ks.p != p {
+				k.fail(procPanic{proc: p.name, val: r, stack: debug.Stack()})
 			}
-			p.finish()
-			p.k.cur = nil
-			p.k.yield <- struct{}{}
-		}()
-		p.k.cur = p
-		fn(p)
+		}
+		p.finish()
+		k.cur = nil
+		k.switchFrom(nil)
 	}()
-	<-p.k.yield
+	k.cur = p
+	body := p.body
+	p.body = nil
+	body(p)
 }
 
 func (p *Proc) finish() {
@@ -84,29 +94,36 @@ func (p *Proc) finish() {
 	p.k.unlink(p)
 }
 
-// park hands control back to the kernel and blocks until unparked. It
-// must be called from the proc's own goroutine.
+// park gives up the processor and blocks until unparked, dispatching
+// events on this goroutine meanwhile (see Kernel.switchFrom). It must
+// be called from the proc's own goroutine.
 func (p *Proc) park() {
 	if p.k.cur != p {
 		panic(fmt.Sprintf("sim: proc %q parking while not current", p.name))
 	}
 	p.k.cur = nil
-	p.k.yield <- struct{}{}
-	<-p.resume
+	if !p.k.switchFrom(p) {
+		<-p.resume
+	}
 	if p.killed {
 		panic(killSignal{p})
 	}
 	p.k.cur = p
 }
 
-// unpark runs in kernel context and transfers control to the parked
-// proc, returning once the proc parks again or finishes.
+// unpark runs in event context. It is both the start event and every
+// wake-up: it records p as the proc to pass the baton to once the event
+// returns. A proc killed before it ever ran is finished in place.
 func (p *Proc) unpark() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.k.yield
+	if p.killed && !p.launched {
+		p.finish()
+		return
+	}
+	p.k.wake = p
+	p.k.leave = true
 }
 
 // Name reports the name the proc was created with.
@@ -128,8 +145,7 @@ func (p *Proc) Done() bool { return p.done }
 // Fast path: when every queued event is strictly later than the wake
 // time, the wake event would be dispatched immediately after parking
 // with nothing running in between, so Sleep just advances the clock in
-// place. That elides the two yield-channel round trips (park + unpark)
-// that otherwise dominate the cost of fine-grained sleeps; observable
+// place, elides the wake event, and counts it in SleepsElided; observable
 // ordering is unchanged because no other event could have interleaved.
 // The path also applies under a RunUntil deadline as long as the wake
 // time does not overshoot it (RunUntil dispatches events at exactly the
@@ -141,11 +157,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if (!k.hasDL || k.now+d <= k.deadline) && !k.stopped && k.nowq.empty() && (len(k.events.h) == 0 || k.events.h[0].at > k.now+d) {
+	if (!k.hasDL || k.now+d <= k.deadline) && !k.leave && k.nowq.empty() && (len(k.events.h) == 0 || k.events.h[0].at > k.now+d) {
 		if k.cur != p {
 			panic(fmt.Sprintf("sim: proc %q sleeping while not current", p.name))
 		}
 		k.now += d
+		k.elided++
 		return
 	}
 	k.Schedule(d, p.unparkFn)
@@ -172,11 +189,7 @@ func (p *Proc) Kill() {
 	// resume it unless we do. A spurious resume for a proc that was
 	// about to be resumed anyway is harmless: unpark on a done proc is a
 	// no-op, and killSignal unwinds exactly once.
-	p.k.Schedule(0, func() {
-		if !p.done {
-			p.unpark()
-		}
-	})
+	p.k.Schedule(0, p.unparkFn)
 }
 
 // Park blocks the proc until some other party calls UnparkExternal. It

@@ -342,6 +342,19 @@ func (c *Cluster) EventsRun() uint64 {
 	return n
 }
 
+// SleepsElided reports the total same-instant Sleep fast paths across
+// all lanes (see Kernel.SleepsElided). Lanes elide more sleeps than
+// one shared kernel, whose heap holds every machine's events, so
+// EventsRun plus SleepsElided, not EventsRun alone, is the same for a
+// simulation at any lane count.
+func (c *Cluster) SleepsElided() uint64 {
+	var n uint64
+	for _, k := range c.lanes {
+		n += k.SleepsElided()
+	}
+	return n
+}
+
 // ClusterStats is host-side accounting for one Run: window and cross-
 // event counts are properties of the simulation (deterministic), the
 // wall-clock figures are properties of the host and the worker count.

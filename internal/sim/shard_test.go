@@ -236,23 +236,51 @@ func TestClusterSameLaneSend(t *testing.T) {
 	}
 }
 
-// TestClusterLanePanicPropagates: a panic inside a lane event must
-// surface from Run with the lane identified, not deadlock the pool.
+// TestClusterLanePanicPropagates: a panic on lane 1 must surface from
+// Run with the lane identified, not deadlock the pool and not kill the
+// process — whether the panicking callback runs on the lane's worker,
+// on a proc goroutine holding the lane's event loop, or is the proc
+// body itself.
 func TestClusterLanePanicPropagates(t *testing.T) {
-	cl := NewCluster(2, time.Millisecond)
-	cl.Lane(1).Schedule(time.Microsecond, func() { panic("boom") })
-	cl.Lane(0).Schedule(time.Microsecond, func() {})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("lane panic did not propagate out of Run")
-		}
-		s, ok := r.(string)
-		if !ok || !strings.Contains(s, "lane 1") || !strings.Contains(s, "boom") {
-			t.Fatalf("panic = %v, want lane 1 boom", r)
-		}
-	}()
-	cl.Run(2)
+	// A callback's panic keeps its own value even on a proc goroutine:
+	// it must not unwind that proc's body and be reported as the proc's.
+	cases := []struct {
+		name  string
+		build func(k *Kernel)
+		want  string // prefix of the panic Run raises
+	}{
+		{"callback", func(k *Kernel) {
+			k.Schedule(time.Microsecond, func() { panic("boom") })
+		}, "sim: lane 1 panicked: boom"},
+		{"callback on a proc goroutine", func(k *Kernel) {
+			k.Go("sleeper", func(p *Proc) { p.Sleep(2 * time.Microsecond) })
+			k.Schedule(time.Microsecond, func() { panic("boom") })
+		}, "sim: lane 1 panicked: boom"},
+		{"proc body", func(k *Kernel) {
+			k.Go("bad", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				panic("boom")
+			})
+		}, `sim: lane 1 panicked: sim: proc "bad" panicked: boom`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := NewCluster(2, time.Millisecond)
+			tc.build(cl.Lane(1))
+			cl.Lane(0).Schedule(time.Microsecond, func() {})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("lane panic did not propagate out of Run")
+				}
+				if s, ok := r.(string); !ok || !strings.HasPrefix(s, tc.want) {
+					t.Fatalf("panic = %v, want %s", r, tc.want)
+				}
+				cl.Close()
+			}()
+			cl.Run(2)
+		})
+	}
 }
 
 // TestClusterOneLaneDelegates: the degenerate one-lane cluster takes
